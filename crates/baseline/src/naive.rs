@@ -34,11 +34,7 @@ pub fn count_embeddings(pattern: &Pattern, graph: &CsrGraph) -> u64 {
 /// vertex). A distinct subgraph is visited once per pattern automorphism;
 /// callers that want one visit per *embedding* canonicalize the tuple
 /// (e.g. sort it) and deduplicate.
-pub fn for_each_mapping(
-    pattern: &Pattern,
-    graph: &CsrGraph,
-    mut visit: impl FnMut(&[VertexId]),
-) {
+pub fn for_each_mapping(pattern: &Pattern, graph: &CsrGraph, mut visit: impl FnMut(&[VertexId])) {
     if pattern.num_vertices() == 0 {
         return;
     }
@@ -56,7 +52,7 @@ pub fn canonical_embedding(auts: &[Permutation], mapping: &[VertexId]) -> Vec<Ve
     let mut best: Option<Vec<VertexId>> = None;
     for perm in auts {
         let candidate: Vec<VertexId> = (0..mapping.len()).map(|i| mapping[perm.apply(i)]).collect();
-        if best.as_ref().is_none_or(|b| candidate < *b) {
+        if best.as_ref().map_or(true, |b| candidate < *b) {
             best = Some(candidate);
         }
     }

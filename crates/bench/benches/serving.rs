@@ -17,11 +17,9 @@
 //! `serving/session_cold`, `serving/session_warm`), with queries/sec
 //! derivable as `1e9 / ns_per_iter`.
 //!
-//! Note one deliberate asymmetry: the warm path is *caller-runs* — the
-//! submitting thread streams tasks and then helps drain them (that is part
-//! of the pool's design, not a measurement artifact) — whereas the scoped
-//! path's submitter only streams. The comparison is end-to-end per-query
-//! latency of the two real APIs, not an equal-resource scheduler study.
+//! Both columns run the same pool runtime; the spawn-per-call column starts
+//! a pool for each query and drops it afterwards, so the comparison is the
+//! end-to-end per-query latency of the two real APIs.
 //!
 //! The run asserts warm < spawn-per-call at every thread count, so the CI
 //! bench smoke step fails if the serving path ever regresses below the
@@ -120,7 +118,7 @@ fn main() {
             prefix_depth: Some(PREFIX_DEPTH),
             ..CountOptions::default()
         };
-        // Cold path: plan + scoped spawn/join, once per query.
+        // Cold path: plan + pool spawn/join, once per query.
         let (spawn_count, spawn_ns) = time_queries(SPAWN_ITERS, || {
             let plan = engine.plan(&pattern, PlanOptions::default()).expect("plan");
             engine.execute_count(&plan.plan, count_options)

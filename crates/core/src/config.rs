@@ -152,7 +152,7 @@ impl Configuration {
         let mut plan = ExecutionPlan::compile(self);
         if !enable_iep {
             plan.iep_suffix_len = 0;
-            plan.iep_correction = IepCorrection::DividePrefixRestricted { divisor: 1 };
+            plan.iep_divisor = 1;
         }
         plan
     }
@@ -190,44 +190,6 @@ pub struct LoopPlan {
     pub bounds: Vec<LoopBound>,
 }
 
-/// How IEP counting corrects for the restrictions it drops (Section IV-D).
-///
-/// Replacing the innermost `k` loops with an inclusion–exclusion computation
-/// discards every restriction enforced in those loops, so the grand total
-/// over-counts each distinct subgraph by the number of its automorphic
-/// embeddings that satisfy the *remaining* (outer-loop) restrictions. The
-/// paper divides by that factor. The division is exact only when the factor
-/// is the same for every subgraph; the compiler verifies this by enumerating
-/// all relative orders of the pattern vertices' ids. When the multiplicity
-/// is not uniform (which never happens for the configurations GraphPi's own
-/// generator produces, but can for hand-built ones), the engine falls back
-/// to running IEP with **no** restrictions at all and dividing by the full
-/// automorphism count, which is always exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IepCorrection {
-    /// Keep the outer-loop restrictions and divide the IEP total by this
-    /// uniform per-subgraph multiplicity.
-    DividePrefixRestricted {
-        /// The uniform multiplicity (≥ 1).
-        divisor: u64,
-    },
-    /// Drop every restriction for the IEP run and divide by `|Aut|`.
-    DivideUnrestricted {
-        /// The pattern's automorphism count.
-        divisor: u64,
-    },
-}
-
-impl IepCorrection {
-    /// The divisor applied to the IEP grand total.
-    pub fn divisor(&self) -> u64 {
-        match *self {
-            IepCorrection::DividePrefixRestricted { divisor } => divisor,
-            IepCorrection::DivideUnrestricted { divisor } => divisor,
-        }
-    }
-}
-
 /// A fully resolved nested-loop program for one configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutionPlan {
@@ -237,9 +199,18 @@ pub struct ExecutionPlan {
     pub loops: Vec<LoopPlan>,
     /// Length of the trailing run of loops whose pattern vertices are
     /// pairwise non-adjacent — the `k` usable by IEP counting for this plan.
+    /// Zero when IEP is off, either by request
+    /// ([`Configuration::compile_with_iep`]) or because no exact divisor
+    /// exists (see [`ExecutionPlan::iep_divisor`]).
     pub iep_suffix_len: usize,
-    /// How IEP counting must correct for the restrictions it drops.
-    pub iep_correction: IepCorrection,
+    /// What the IEP grand total is divided by (Section IV-D). Replacing the
+    /// innermost `k` loops with an inclusion–exclusion computation discards
+    /// every restriction enforced in those loops, so each distinct subgraph
+    /// is counted once per automorphic embedding that satisfies the
+    /// *remaining* (outer-loop) restrictions. The division is exact only
+    /// when that multiplicity is the same for every subgraph; when it is
+    /// not, the plan compiles with IEP off and this is 1.
+    pub iep_divisor: u64,
 }
 
 impl ExecutionPlan {
@@ -279,14 +250,21 @@ impl ExecutionPlan {
             });
         }
 
-        let iep_suffix_len = config.schedule.independent_suffix_len(pattern);
-        let iep_correction = iep_correction(config, iep_suffix_len);
+        // IEP only runs on a suffix of at least two loops. Without an exact
+        // divisor it cannot count this configuration at all: compile it
+        // with IEP off, as `compile_with_iep(false)` does.
+        let k = config.schedule.independent_suffix_len(pattern);
+        let (iep_suffix_len, iep_divisor) = if k < 2 {
+            (k, 1)
+        } else {
+            uniform_iep_divisor(config, k).map_or((0, 1), |divisor| (k, divisor))
+        };
 
         ExecutionPlan {
             config: config.clone(),
             loops,
             iep_suffix_len,
-            iep_correction,
+            iep_divisor,
         }
     }
 
@@ -296,17 +274,18 @@ impl ExecutionPlan {
     }
 }
 
-/// Determines the IEP over-counting correction for this configuration
-/// (Section IV-D).
+/// The IEP over-counting divisor of this configuration with an independent
+/// suffix of `k` loops (Section IV-D), or `None` when no exact divisor
+/// exists.
 ///
 /// The restrictions that remain after dropping the innermost `k` loops are
 /// those whose endpoints both lie in the outer `n - k` scheduled vertices.
 /// For each possible relative order `π` of the data ids assigned to the
 /// pattern vertices, the per-subgraph multiplicity is the number of
 /// automorphisms `σ` for which `π ∘ σ` satisfies the remaining restrictions.
-/// If that multiplicity is the same for every `π`, dividing the IEP total by
-/// it is exact; otherwise the safe fallback drops all restrictions.
-fn iep_correction(config: &Configuration, k: usize) -> IepCorrection {
+/// Dividing the IEP total by it is exact only if it is the same for every
+/// `π`.
+pub(crate) fn uniform_iep_divisor(config: &Configuration, k: usize) -> Option<u64> {
     use graphpi_pattern::automorphism::automorphism_group;
 
     let order = config.schedule.order();
@@ -318,7 +297,7 @@ fn iep_correction(config: &Configuration, k: usize) -> IepCorrection {
 
     if remaining.is_empty() {
         // No restrictions survive: every automorphic copy is counted.
-        return IepCorrection::DividePrefixRestricted { divisor: aut_count };
+        return Some(aut_count);
     }
 
     // Enumerate every relative order of the pattern vertices' ids and count,
@@ -341,15 +320,11 @@ fn iep_correction(config: &Configuration, k: usize) -> IepCorrection {
             .count() as u64;
         match multiplicity {
             None => multiplicity = Some(m),
-            Some(prev) if prev != m => {
-                return IepCorrection::DivideUnrestricted { divisor: aut_count };
-            }
+            Some(prev) if prev != m => return None,
             _ => {}
         }
     }
-    IepCorrection::DividePrefixRestricted {
-        divisor: multiplicity.unwrap_or(aut_count).max(1),
-    }
+    Some(multiplicity.unwrap_or(aut_count).max(1))
 }
 
 fn permutations_into(current: &mut Vec<u64>, k: usize, out: &mut Vec<Vec<u64>>) {
@@ -403,10 +378,7 @@ mod tests {
         assert_eq!(plan.iep_suffix_len, 2);
         // Dropping the restriction-free suffix keeps id(A) > id(B), which
         // eliminates the single non-identity automorphism: divisor 1.
-        assert_eq!(
-            plan.iep_correction,
-            IepCorrection::DividePrefixRestricted { divisor: 1 }
-        );
+        assert_eq!(plan.iep_divisor, 1);
     }
 
     #[test]
@@ -425,10 +397,7 @@ mod tests {
         let pattern = prefab::house();
         let schedule = Schedule::new(&pattern, vec![0, 1, 2, 3, 4]);
         let plan = Configuration::new(pattern, schedule, RestrictionSet::empty()).compile();
-        assert_eq!(
-            plan.iep_correction,
-            IepCorrection::DividePrefixRestricted { divisor: 2 }
-        );
+        assert_eq!(plan.iep_divisor, 2);
 
         // Rectangle with a complete restriction set but a schedule whose
         // independent suffix swallows some restrictions: the divisor grows
@@ -441,24 +410,40 @@ mod tests {
         // the usable suffix is 1 and only restrictions touching vertex 3 are
         // dropped.
         assert_eq!(plan.iep_suffix_len, 1);
-        assert!(plan.iep_correction.divisor() >= 1);
+        assert!(plan.iep_divisor >= 1);
     }
 
     #[test]
     fn non_uniform_prefix_restrictions_fall_back() {
-        // Path A-B-C with the single restriction id(A) > id(B) and suffix
-        // {C}: depending on whether B has the smallest id, either one or two
-        // automorphic copies satisfy the remaining restriction, so the exact
-        // division is impossible and the plan must fall back to the
-        // unrestricted correction.
-        let path = prefab::path_pattern(3);
-        let schedule = Schedule::new(&path, vec![0, 1, 2]);
-        let restrictions = RestrictionSet::from_pairs(&[(0, 1)]);
-        let plan = Configuration::new(path, schedule, restrictions).compile();
-        assert_eq!(
-            plan.iep_correction,
-            IepCorrection::DivideUnrestricted { divisor: 2 }
-        );
+        // The generator's first P6 configuration keeps outer-loop
+        // restrictions that admit one automorphic copy of some subgraphs
+        // and two of others, so no exact IEP divisor exists. It compiles
+        // with IEP off and counts exactly what a configuration with a
+        // uniform divisor counts through IEP.
+        use crate::exec::{iep, interp};
+        use graphpi_pattern::restriction::{generate_restriction_sets, GenerationOptions};
+        let p6 = prefab::p6();
+        let sets = generate_restriction_sets(&p6, GenerationOptions::default());
+        let schedules = crate::schedule::efficient_schedules(&p6);
+        let config = Configuration::new(p6.clone(), schedules[0].clone(), sets[0].clone());
+        assert_eq!(config.schedule.independent_suffix_len(&p6), 2);
+        assert_eq!(uniform_iep_divisor(&config, 2), None);
+        let plan = config.compile();
+        assert_eq!(plan.iep_suffix_len, 0);
+        assert_eq!(plan.iep_divisor, 1);
+        assert_eq!(plan, config.compile_with_iep(false));
+
+        let uniform = schedules
+            .iter()
+            .flat_map(|s| sets.iter().map(move |r| (s, r)))
+            .map(|(s, r)| Configuration::new(p6.clone(), s.clone(), r.clone()).compile())
+            .find(|plan| plan.iep_suffix_len >= 2)
+            .expect("some P6 configuration has a uniform divisor");
+        let g = graphpi_graph::generators::power_law(80, 5, 11);
+        let expected = iep::count_embeddings_iep(&uniform, &g);
+        assert!(expected > 0);
+        assert_eq!(iep::count_embeddings_iep(&plan, &g), expected);
+        assert_eq!(interp::count_embeddings(&plan, &g), expected);
     }
 
     #[test]
@@ -466,7 +451,7 @@ mod tests {
         let config = paper_house_config();
         let plan = config.compile_with_iep(false);
         assert_eq!(plan.iep_suffix_len, 0);
-        assert_eq!(plan.iep_correction.divisor(), 1);
+        assert_eq!(plan.iep_divisor, 1);
         // The loop program itself is untouched.
         assert_eq!(plan.loops, config.compile().loops);
         // And enabling IEP is identical to the plain compile.
@@ -489,9 +474,6 @@ mod tests {
         let schedule = Schedule::new(&p, vec![0, 1, 2, 3, 4, 5]);
         let plan = Configuration::new(p, schedule, RestrictionSet::empty()).compile();
         assert_eq!(plan.iep_suffix_len, 4);
-        assert_eq!(
-            plan.iep_correction,
-            IepCorrection::DividePrefixRestricted { divisor: 8 }
-        );
+        assert_eq!(plan.iep_divisor, 8);
     }
 }

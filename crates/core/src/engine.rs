@@ -12,9 +12,11 @@
 
 use crate::config::{Configuration, ExecutionPlan, PoolOptions, MAX_LOOPS};
 use crate::error::EngineError;
+use crate::exec::iep;
+use crate::exec::interp::{self, ExecCtx};
+use crate::exec::parallel::{self, JobKind};
 use crate::exec::pool::WorkerPool;
 use crate::exec::sink::ModeShared;
-use crate::exec::{iep, interp, parallel};
 use crate::perf_model::{select_best, CostEstimate, PerformanceModel};
 use crate::schedule::{efficient_schedules, Schedule};
 use graphpi_graph::csr::{CsrGraph, VertexId};
@@ -316,25 +318,21 @@ impl GraphPi {
         // setting becomes the process setting (the `GRAPHPI_FORCE_SCALAR`
         // environment pin is folded into detection and stays sticky).
         graphpi_graph::vertex_set::set_force_scalar(options.scalar_kernels);
-        let threads = if options.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            options.threads
-        };
-        if options.hub_bitsets {
-            let hubs = self.hub_index();
-            return match (options.use_iep, threads) {
-                (false, 1) => interp::count_embeddings_hub(plan, hubs),
-                (true, 1) => iep::count_embeddings_iep_hub(plan, hubs),
-                (_, _) => parallel::count_parallel_with_hubs(plan, hubs, *parallel_options),
-            };
+        let ctx = self.exec_ctx(options.hub_bitsets);
+        match parallel::resolve_threads(options.threads) {
+            1 if options.use_iep => iep::count_embeddings_iep_in(plan, ctx),
+            1 => interp::count_embeddings_in(plan, ctx),
+            threads => WorkerPool::new(threads).count_in(plan, ctx, parallel_options),
         }
-        match (options.use_iep, threads) {
-            (false, 1) => interp::count_embeddings(plan, &self.graph),
-            (true, 1) => iep::count_embeddings_iep(plan, &self.graph),
-            (_, _) => parallel::count_parallel(plan, &self.graph, *parallel_options),
+    }
+
+    /// The execution context for this graph: the cached hub layout when
+    /// `hub_bitsets` is set, the plain graph otherwise.
+    fn exec_ctx(&self, hub_bitsets: bool) -> ExecCtx<'_> {
+        if hub_bitsets {
+            ExecCtx::with_hubs(self.hub_index())
+        } else {
+            ExecCtx::new(&self.graph)
         }
     }
 
@@ -787,16 +785,8 @@ impl<'g> Session<'g> {
         // Same contract as `GraphPi::execute_count_prepared`: the per-call
         // knob is authoritative for the process-global kernel dispatch.
         graphpi_graph::vertex_set::set_force_scalar(count_options.scalar_kernels);
-        if count_options.hub_bitsets {
-            self.pool
-                .count_with_hubs(plan, self.engine.hub_index(), parallel_options)
-        } else {
-            self.pool.count_in(
-                plan,
-                interp::ExecCtx::new(&self.engine.graph),
-                parallel_options,
-            )
-        }
+        let ctx = self.engine.exec_ctx(count_options.hub_bitsets);
+        self.pool.count_in(plan, ctx, parallel_options)
     }
 
     /// Returns the cached *full-depth* plan for `pattern`: the same planner
@@ -820,22 +810,9 @@ impl<'g> Session<'g> {
     /// lane so they never starve concurrent interactive counts.
     fn run_mode(&self, plan: &ExecutionPlan, shared: &ModeShared, count_options: &CountOptions) {
         graphpi_graph::vertex_set::set_force_scalar(count_options.scalar_kernels);
-        let options = parallel::ParallelOptions {
-            mode: parallel::CountMode::Enumerate,
-            ..self.parallel_options
-        };
-        if count_options.hub_bitsets {
-            let hubs = self.engine.hub_index();
-            self.pool
-                .run_mode_in(plan, interp::ExecCtx::with_hubs(hubs), &options, shared);
-        } else {
-            self.pool.run_mode_in(
-                plan,
-                interp::ExecCtx::new(&self.engine.graph),
-                &options,
-                shared,
-            );
-        }
+        let ctx = self.engine.exec_ctx(count_options.hub_bitsets);
+        self.pool
+            .run_job(plan, ctx, &self.parallel_options, JobKind::Mode(shared));
     }
 
     /// Enumerates embeddings of `pattern`, returning at most `limit` of
@@ -1400,7 +1377,7 @@ mod tests {
         let engine = engine();
         let pattern = prefab::house();
         let (pool, plan_opts, _) = small_session_options();
-        let plain = engine.session_with(pool.clone(), plan_opts, CountOptions::default());
+        let plain = engine.session_with(pool, plan_opts, CountOptions::default());
         let hub = engine.session_with(
             pool,
             plan_opts,

@@ -15,19 +15,25 @@
 //! Restrictions enforced in the suffix loops are dropped by this
 //! transformation, so the grand total over-counts by the number of pattern
 //! automorphisms the *remaining* restrictions fail to eliminate; the final
-//! count is divided by that factor (`ExecutionPlan::iep_redundancy`).
+//! count is divided by that factor ([`ExecutionPlan::iep_divisor`]). A
+//! configuration for which that factor differs between subgraphs has no
+//! exact divisor and compiles with IEP off (`iep_suffix_len == 0`), so
+//! every driver here simply enumerates it.
+//!
+//! Terms and totals are 128-bit: one prefix's term is a product of up to
+//! six candidate-set sizes, which passes 64 bits at a few thousand
+//! candidates. The final count is converted back with a checked
+//! conversion that panics rather than return a wrong number.
 //!
 //! Like the enumeration kernel, the per-prefix IEP term is allocation-free
-//! in steady state: the parallel executor keeps one [`IepScratch`] per
-//! worker and calls [`iep_term_with`] per task, with all candidate sets,
-//! intermediates, and the inclusion–exclusion bookkeeping living in reused
-//! buffers or on the stack.
+//! in steady state: every pool worker keeps one [`IepScratch`] and calls
+//! [`iep_term_with`] per task, with all candidate sets, intermediates, and
+//! the inclusion–exclusion bookkeeping living in reused buffers or on the
+//! stack.
 
-use crate::config::{Configuration, ExecutionPlan, IepCorrection, MAX_LOOPS};
+use crate::config::{ExecutionPlan, MAX_LOOPS};
 use crate::exec::interp::{self, ExecCtx};
 use graphpi_graph::csr::{CsrGraph, VertexId};
-use graphpi_graph::hub::HubGraph;
-use graphpi_pattern::restriction::RestrictionSet;
 
 /// Largest IEP suffix supported (bounded by `2^(k(k-1)/2)` inclusion–
 /// exclusion terms; 6 keeps the term count at 2^15).
@@ -63,48 +69,38 @@ impl IepScratch {
 
 /// Counts embeddings using IEP over the innermost `plan.iep_suffix_len`
 /// loops. Falls back to plain enumeration when the suffix is shorter than 2
-/// (there is nothing to gain) or when the plan has a single loop.
+/// (there is nothing to gain, or the plan was compiled with IEP off) or
+/// when the plan has a single loop.
 pub fn count_embeddings_iep(plan: &ExecutionPlan, graph: &CsrGraph) -> u64 {
     count_embeddings_iep_in(plan, ExecCtx::new(graph))
 }
 
-/// Hub-accelerated variant of [`count_embeddings_iep`]; returns the same
-/// count as the plain path on the original graph.
-pub fn count_embeddings_iep_hub(plan: &ExecutionPlan, hubs: &HubGraph) -> u64 {
-    count_embeddings_iep_in(plan, ExecCtx::with_hubs(hubs))
-}
-
-/// Context-explicit IEP driver.
+/// Context-explicit IEP driver (plain or hub-accelerated; the count is the
+/// same).
 pub fn count_embeddings_iep_in(plan: &ExecutionPlan, ctx: ExecCtx<'_>) -> u64 {
     let k = plan.iep_suffix_len;
     let n = plan.num_loops();
     if k < 2 || n <= k {
         return interp::count_embeddings_in(plan, ctx);
     }
-    // When the plan's outer restrictions do not over-count every subgraph by
-    // the same factor, run IEP on a restriction-free clone of the plan (see
-    // `IepCorrection`).
-    let unrestricted_plan;
-    let (effective_plan, divisor) = match plan.iep_correction {
-        IepCorrection::DividePrefixRestricted { divisor } => (plan, divisor),
-        IepCorrection::DivideUnrestricted { divisor } => {
-            unrestricted_plan = Configuration::new(
-                plan.config.pattern.clone(),
-                plan.config.schedule.clone(),
-                RestrictionSet::empty(),
-            )
-            .compile();
-            (&unrestricted_plan, divisor)
-        }
-    };
-    let outer_depth = n - k;
     let mut scratch = IepScratch::new();
-    let mut total: u64 = 0;
-    interp::for_each_prefix(effective_plan, ctx, outer_depth, |prefix| {
-        total += iep_term_with(effective_plan, ctx, prefix, &mut scratch);
+    let mut raw: u128 = 0;
+    interp::for_each_prefix(plan, ctx, n - k, |prefix| {
+        raw += iep_term_with(plan, ctx, prefix, &mut scratch);
     });
+    divide_raw_total(raw, plan.iep_divisor)
+}
+
+/// Divides a raw IEP grand total by the plan's redundancy divisor.
+///
+/// # Panics
+///
+/// When the quotient does not fit a `u64`: a wrong count is never
+/// returned.
+pub(crate) fn divide_raw_total(raw: u128, divisor: u64) -> u64 {
     debug_assert!(divisor >= 1);
-    total / divisor
+    let count = raw / u128::from(divisor);
+    u64::try_from(count).unwrap_or_else(|_| panic!("embedding count {count} does not fit in a u64"))
 }
 
 /// Counts embeddings (before dividing by the redundancy factor) contributed
@@ -112,7 +108,7 @@ pub fn count_embeddings_iep_in(plan: &ExecutionPlan, ctx: ExecCtx<'_>) -> u64 {
 ///
 /// Allocates fresh scratch; hot loops should hold an [`IepScratch`] and
 /// call [`iep_term_with`] instead.
-pub fn iep_term(plan: &ExecutionPlan, graph: &CsrGraph, prefix: &[VertexId]) -> u64 {
+pub fn iep_term(plan: &ExecutionPlan, graph: &CsrGraph, prefix: &[VertexId]) -> u128 {
     let mut scratch = IepScratch::new();
     iep_term_with(plan, ExecCtx::new(graph), prefix, &mut scratch)
 }
@@ -124,7 +120,7 @@ pub fn iep_term_with(
     ctx: ExecCtx<'_>,
     prefix: &[VertexId],
     scratch: &mut IepScratch,
-) -> u64 {
+) -> u128 {
     let n = plan.num_loops();
     let k = n - prefix.len();
     debug_assert!(k >= 1);
@@ -160,7 +156,11 @@ pub fn iep_term_with(
 /// Number of ordered tuples `(e_1, …, e_k)` with `e_i ∈ sets[i]` and all
 /// entries pairwise distinct, computed by inclusion–exclusion over equality
 /// pairs with the per-component factorisation of Algorithm 2.
-pub fn count_distinct_tuples(sets: &[Vec<VertexId>]) -> u64 {
+///
+/// The result and the terms are 128-bit: a single term is a product of up
+/// to six set sizes, which overflows 64 bits already at a few thousand
+/// candidates (six leaves of a 1600-leaf star give 1600^6 ≈ 1.7 · 10^19).
+pub fn count_distinct_tuples(sets: &[Vec<VertexId>]) -> u128 {
     let mut inter = Vec::new();
     let mut tmp = Vec::new();
     count_distinct_tuples_with(sets, &mut inter, &mut tmp)
@@ -173,7 +173,7 @@ pub fn count_distinct_tuples_with(
     sets: &[Vec<VertexId>],
     inter: &mut Vec<VertexId>,
     tmp: &mut Vec<VertexId>,
-) -> u64 {
+) -> u128 {
     let k = sets.len();
     assert!(k >= 1, "need at least one candidate set");
     assert!(
@@ -181,15 +181,15 @@ pub fn count_distinct_tuples_with(
         "IEP suffix larger than {MAX_IEP_SUFFIX} is not supported"
     );
     if k == 1 {
-        return sets[0].len() as u64;
+        return sets[0].len() as u128;
     }
 
     // Cardinality of the intersection of every subset of the candidate
     // sets, indexed by bitmask (2^k <= 64 entries, on the stack).
-    let mut subset_card = [0i64; 1 << MAX_IEP_SUFFIX];
+    let mut subset_card = [0i128; 1 << MAX_IEP_SUFFIX];
     for mask in 1usize..(1 << k) {
         if mask.count_ones() == 1 {
-            subset_card[mask] = sets[mask.trailing_zeros() as usize].len() as i64;
+            subset_card[mask] = sets[mask.trailing_zeros() as usize].len() as i128;
         } else {
             let mut slices: [&[VertexId]; MAX_IEP_SUFFIX] = [&[]; MAX_IEP_SUFFIX];
             let mut m = 0usize;
@@ -200,8 +200,25 @@ pub fn count_distinct_tuples_with(
                 }
             }
             graphpi_graph::vertex_set::intersect_many_into(&slices[..m], inter, tmp);
-            subset_card[mask] = inter.len() as i64;
+            subset_card[mask] = inter.len() as i128;
         }
+    }
+
+    // Pigeonhole: `k` distinct entries need at least `k` vertices in the
+    // union of the sets (inclusion–exclusion over the subset cardinalities
+    // above). This skips the pair loop below for prefixes whose suffix
+    // candidates collapse onto a few vertices, like the leaves of a star.
+    let union_size: i128 = (1usize..1 << k)
+        .map(|mask| {
+            if mask.count_ones() % 2 == 1 {
+                subset_card[mask]
+            } else {
+                -subset_card[mask]
+            }
+        })
+        .sum();
+    if union_size < k as i128 {
+        return 0;
     }
 
     // All unordered pairs (i, j), i < j.
@@ -214,13 +231,9 @@ pub fn count_distinct_tuples_with(
         }
     }
 
-    let mut total: i64 = 0;
+    let mut total: i128 = 0;
     for pair_mask in 0usize..(1 << num_pairs) {
-        let sign = if pair_mask.count_ones() % 2 == 0 {
-            1i64
-        } else {
-            -1i64
-        };
+        let negative = pair_mask.count_ones() % 2 == 1;
         // Algorithm 2: union-find the suffix vertices along the selected
         // equality pairs, then multiply the intersection cardinalities of
         // the resulting components.
@@ -237,18 +250,25 @@ pub fn count_distinct_tuples_with(
         for v in 0..k {
             component_mask[find(&mut parent, v)] |= 1 << v;
         }
-        let mut product: i64 = 1;
+        let mut product: i128 = 1;
         for v in 0..k {
             if find(&mut parent, v) == v {
-                product = product.saturating_mul(subset_card[component_mask[v]]);
+                product = product
+                    .checked_mul(subset_card[component_mask[v]])
+                    .expect("IEP term overflows 128 bits");
                 if product == 0 {
                     break;
                 }
             }
         }
-        total += sign * product;
+        total = if negative {
+            total.checked_sub(product)
+        } else {
+            total.checked_add(product)
+        }
+        .expect("IEP sum overflows 128 bits");
     }
-    total.max(0) as u64
+    u128::try_from(total).expect("a tuple count is never negative")
 }
 
 fn find(parent: &mut [usize], x: usize) -> usize {
@@ -320,8 +340,8 @@ mod tests {
         }
     }
 
-    fn brute_force_distinct(sets: &[Vec<VertexId>]) -> u64 {
-        fn rec(sets: &[Vec<VertexId>], chosen: &mut Vec<VertexId>, i: usize) -> u64 {
+    fn brute_force_distinct(sets: &[Vec<VertexId>]) -> u128 {
+        fn rec(sets: &[Vec<VertexId>], chosen: &mut Vec<VertexId>, i: usize) -> u128 {
             if i == sets.len() {
                 return 1;
             }
@@ -359,10 +379,30 @@ mod tests {
     fn iep_matches_enumeration_on_all_evaluation_patterns() {
         let g = generators::power_law(120, 5, 41);
         for (name, pattern) in prefab::evaluation_patterns() {
-            let plan = best_effort_plan(pattern);
-            let iep = count_embeddings_iep(&plan, &g);
-            let enumerated = interp::count_embeddings(&plan, &g);
-            assert_eq!(iep, enumerated, "{name}");
+            let sets = generate_restriction_sets(&pattern, GenerationOptions::default());
+            let schedules = efficient_schedules(&pattern);
+            for (s, schedule) in schedules.iter().take(8).enumerate() {
+                for (r, set) in sets.iter().take(4).enumerate() {
+                    let config = Configuration::new(pattern.clone(), schedule.clone(), set.clone());
+                    let plan = config.compile();
+                    let k = schedule.independent_suffix_len(&pattern);
+                    if k >= 2 {
+                        match crate::config::uniform_iep_divisor(&config, k) {
+                            Some(divisor) => {
+                                assert_eq!(plan.iep_suffix_len, k, "{name} s{s} r{r}");
+                                assert_eq!(plan.iep_divisor, divisor, "{name} s{s} r{r}");
+                            }
+                            // A non-uniform divisor never reaches IEP.
+                            None => assert_eq!(plan.iep_suffix_len, 0, "{name} s{s} r{r}"),
+                        }
+                    }
+                    assert_eq!(
+                        count_embeddings_iep(&plan, &g),
+                        interp::count_embeddings(&plan, &g),
+                        "{name} s{s} r{r}"
+                    );
+                }
+            }
         }
     }
 
@@ -391,7 +431,7 @@ mod tests {
         for pattern in [prefab::house(), prefab::p2(), prefab::cycle_6_tri()] {
             let plan = best_effort_plan(pattern);
             assert_eq!(
-                count_embeddings_iep_hub(&plan, &hubs),
+                count_embeddings_iep_in(&plan, ExecCtx::with_hubs(&hubs)),
                 count_embeddings_iep(&plan, &g)
             );
         }
@@ -440,7 +480,7 @@ mod tests {
         let schedule = Schedule::new(&pattern, vec![0, 1, 2, 3, 4]);
         let plan = Configuration::new(pattern.clone(), schedule, RestrictionSet::empty()).compile();
         let aut = graphpi_pattern::automorphism::automorphism_count(&pattern) as u64;
-        assert_eq!(plan.iep_correction.divisor(), aut);
+        assert_eq!(plan.iep_divisor, aut);
         assert_eq!(
             count_embeddings_iep(&plan, &g),
             interp::count_embeddings(&plan, &g) / aut

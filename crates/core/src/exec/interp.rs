@@ -11,12 +11,19 @@
 //! compiles (Figure 5(b)); [`crate::codegen`] renders the same plan as
 //! source text.
 //!
+//! There is one recursion: it binds loops up to a target depth and hands
+//! each binding to a [`MatchSink`]. Whole-graph counting and listing bind
+//! every loop; the prefix walk that feeds parallel tasks stops at the task
+//! depth; a task resumes from its prefix ([`match_from_prefix_with`]).
+//! Closures become sinks, so the closure-style entry points
+//! ([`for_each_embedding`], [`for_each_prefix`]) drive the same code.
+//!
 //! The matching kernel is **allocation-free**: every candidate set is
 //! materialised into a per-depth buffer of a reusable [`SearchBuffers`], the
 //! k-way intersection ping-pongs between that buffer and a shared scratch
 //! (`vertex_set::intersect_many_into`), and the hub-accelerated paths reuse a
-//! shared bitset word buffer. The parallel executor holds one
-//! [`SearchBuffers`] per worker and calls [`count_from_prefix_with`] per
+//! shared bitset word buffer. Every pool worker holds one [`SearchBuffers`]
+//! and calls [`count_from_prefix_with`] or [`match_from_prefix_with`] per
 //! task, so the steady-state worker loop performs no heap allocation at all.
 
 use crate::config::{ExecutionPlan, LoopBound, MAX_LOOPS};
@@ -108,17 +115,12 @@ pub fn count_embeddings(plan: &ExecutionPlan, graph: &CsrGraph) -> u64 {
     count_embeddings_in(plan, ExecCtx::new(graph))
 }
 
-/// Counts every embedding using hub-accelerated intersections. Returns the
-/// same count as [`count_embeddings`] on the original graph.
-pub fn count_embeddings_hub(plan: &ExecutionPlan, hubs: &HubGraph) -> u64 {
-    count_embeddings_in(plan, ExecCtx::with_hubs(hubs))
-}
-
-/// Counts every embedding in an explicit execution context.
+/// Counts every embedding in an explicit execution context (plain or
+/// hub-accelerated; the count is the same).
 pub fn count_embeddings_in(plan: &ExecutionPlan, ctx: ExecCtx<'_>) -> u64 {
-    let mut count = 0u64;
-    for_each_embedding_in(plan, ctx, |_| count += 1);
-    count
+    let mut sink = CountSink::new();
+    walk(plan, ctx, plan.num_loops(), &mut sink);
+    sink.count()
 }
 
 /// Collects every embedding as a vector of data vertices indexed **by
@@ -144,66 +146,12 @@ pub fn for_each_embedding<F: FnMut(&[VertexId])>(
     graph: &CsrGraph,
     visitor: F,
 ) {
-    for_each_embedding_in(plan, ExecCtx::new(graph), visitor);
-}
-
-/// Context-explicit variant of [`for_each_embedding`].
-pub fn for_each_embedding_in<F: FnMut(&[VertexId])>(
-    plan: &ExecutionPlan,
-    ctx: ExecCtx<'_>,
-    mut visitor: F,
-) {
-    let n = plan.num_loops();
-    if n == 0 {
-        return;
-    }
-    let mut buffers = SearchBuffers::new(n);
-    let SearchBuffers {
-        depth_bufs,
-        tmp,
-        words,
-        stack,
-    } = &mut buffers;
-    for v in ctx.graph.vertices() {
-        stack.push(v);
-        if n == 1 {
-            visitor(stack);
-        } else {
-            recurse(plan, ctx, 1, stack, depth_bufs, tmp, words, &mut visitor);
-        }
-        stack.pop();
-    }
-}
-
-/// Sink-driven whole-graph matching, decomposed exactly like the parallel
-/// executors: valid prefixes of `task_depth` loops are enumerated and the
-/// subtree under each is matched through
-/// [`match_from_prefix_with`] — so a sink that makes per-prefix decisions
-/// ([`MatchSink::accept_prefix`], e.g. sampling) sees the **same** prefix
-/// stream sequentially as each parallel worker does collectively, and a
-/// saturating sink ([`MatchSink::is_full`]) stops exploring further
-/// subtrees.
-pub fn match_embeddings_in<S: MatchSink>(
-    plan: &ExecutionPlan,
-    ctx: ExecCtx<'_>,
-    task_depth: usize,
-    sink: &mut S,
-) {
-    let n = plan.num_loops();
-    if n == 0 {
-        return;
-    }
-    let depth = task_depth.clamp(1, n);
-    let mut buffers = SearchBuffers::new(n);
-    let mut full = false;
-    for_each_prefix(plan, ctx, depth, |prefix| {
-        if full {
-            return;
-        }
-        if !match_from_prefix_with(plan, ctx, prefix, &mut buffers, sink) {
-            full = true;
-        }
-    });
+    walk(
+        plan,
+        ExecCtx::new(graph),
+        plan.num_loops(),
+        &mut FnSink(visitor),
+    );
 }
 
 /// Counts embeddings that extend a fixed prefix of bound vertices (the
@@ -219,10 +167,6 @@ pub fn count_from_prefix(plan: &ExecutionPlan, graph: &CsrGraph, prefix: &[Verte
 
 /// Allocation-free variant of [`count_from_prefix`]: reuses the caller's
 /// [`SearchBuffers`] and supports hub acceleration through the context.
-///
-/// Implemented as [`match_from_prefix_with`] driving a [`CountSink`] — the
-/// sink monomorphises into the same `count += 1` hot loop the pre-sink
-/// kernel inlined, so counts (and count throughput) are unchanged.
 pub fn count_from_prefix_with(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
@@ -235,11 +179,9 @@ pub fn count_from_prefix_with(
 }
 
 /// The mode-generic matching entry point: explores every embedding that
-/// extends `prefix` and feeds each to `sink`. Consults
-/// [`MatchSink::accept_prefix`] once for the task prefix (a rejected task
-/// explores nothing) and stops early once [`MatchSink::is_full`] reports
-/// saturation. Returns `false` when the search was cut short by a full
-/// sink.
+/// extends `prefix` and feeds each to `sink`, stopping early once
+/// [`MatchSink::is_full`] reports saturation. Returns `false` when the
+/// search was cut short by a full sink.
 pub fn match_from_prefix_with<S: MatchSink>(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
@@ -249,9 +191,6 @@ pub fn match_from_prefix_with<S: MatchSink>(
 ) -> bool {
     let n = plan.num_loops();
     assert!(prefix.len() <= n && !prefix.is_empty());
-    if !sink.accept_prefix(prefix) {
-        return true;
-    }
     if prefix.len() == n {
         sink.on_match(prefix);
         return !sink.is_full();
@@ -265,10 +204,11 @@ pub fn match_from_prefix_with<S: MatchSink>(
     } = buffers;
     stack.clear();
     stack.extend_from_slice(prefix);
-    recurse_sink(
+    recurse(
         plan,
         ctx,
         prefix.len(),
+        n,
         stack,
         depth_bufs,
         tmp,
@@ -302,11 +242,31 @@ pub fn for_each_prefix<F: FnMut(&[VertexId])>(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
     depth: usize,
-    mut visitor: F,
+    visitor: F,
 ) {
-    let n = plan.num_loops();
-    assert!(depth >= 1 && depth <= n);
-    let mut buffers = SearchBuffers::new(n);
+    assert!(depth >= 1 && depth <= plan.num_loops());
+    walk(plan, ctx, depth, &mut FnSink(visitor));
+}
+
+/// A closure as a [`MatchSink`] that never saturates.
+struct FnSink<F>(F);
+
+impl<F: FnMut(&[VertexId])> MatchSink for FnSink<F> {
+    #[inline(always)]
+    fn on_match(&mut self, bound: &[VertexId]) {
+        (self.0)(bound)
+    }
+}
+
+/// Binds the first `target` loops in every valid way, starting from the
+/// parentless outermost loop over all data vertices, and feeds each
+/// binding to `sink`. `target` is the plan's loop count for whole
+/// embeddings and the task depth for prefixes.
+fn walk<S: MatchSink>(plan: &ExecutionPlan, ctx: ExecCtx<'_>, target: usize, sink: &mut S) {
+    if target == 0 {
+        return;
+    }
+    let mut buffers = SearchBuffers::new(plan.num_loops());
     let SearchBuffers {
         depth_bufs,
         tmp,
@@ -315,27 +275,28 @@ pub fn for_each_prefix<F: FnMut(&[VertexId])>(
     } = &mut buffers;
     for v in ctx.graph.vertices() {
         stack.push(v);
-        if depth == 1 {
-            visitor(stack);
+        let keep_going = if target == 1 {
+            sink.on_match(stack);
+            !sink.is_full()
         } else {
-            collect_prefixes(
-                plan,
-                ctx,
-                1,
-                depth,
-                stack,
-                depth_bufs,
-                tmp,
-                words,
-                &mut visitor,
-            );
-        }
+            recurse(plan, ctx, 1, target, stack, depth_bufs, tmp, words, sink)
+        };
         stack.pop();
+        if !keep_going {
+            return;
+        }
     }
 }
 
+/// The matching recursion: binds loop `depth` to each candidate (restriction
+/// bounds and injectivity applied) and descends until `target` loops are
+/// bound, feeding each complete binding to `sink`. Unwinds as soon as the
+/// sink is full and returns `false` on such an early exit.
+///
+/// For sinks that never saturate ([`CountSink`], closures) the `is_full`
+/// check is a constant `false` after monomorphisation.
 #[allow(clippy::too_many_arguments)]
-fn collect_prefixes<F: FnMut(&[VertexId])>(
+fn recurse<S: MatchSink>(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
     depth: usize,
@@ -344,105 +305,17 @@ fn collect_prefixes<F: FnMut(&[VertexId])>(
     buffers: &mut [Vec<VertexId>],
     tmp: &mut Vec<VertexId>,
     words: &mut Vec<u64>,
-    visitor: &mut F,
-) {
-    let (current_buf, rest) = buffers.split_first_mut().expect("buffer per depth");
-    let Some((candidates, start, end)) =
-        candidate_range(plan, ctx, depth, bound, current_buf, tmp, words)
-    else {
-        return;
-    };
-    for &v in &candidates[start..end] {
-        if bound.contains(&v) {
-            continue;
-        }
-        bound.push(v);
-        if depth + 1 == target {
-            visitor(bound);
-        } else {
-            collect_prefixes(
-                plan,
-                ctx,
-                depth + 1,
-                target,
-                bound,
-                rest,
-                tmp,
-                words,
-                visitor,
-            );
-        }
-        bound.pop();
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn recurse<F: FnMut(&[VertexId])>(
-    plan: &ExecutionPlan,
-    ctx: ExecCtx<'_>,
-    depth: usize,
-    bound: &mut Vec<VertexId>,
-    buffers: &mut [Vec<VertexId>],
-    tmp: &mut Vec<VertexId>,
-    words: &mut Vec<u64>,
-    visitor: &mut F,
-) {
-    let n = plan.num_loops();
-    let (current_buf, rest) = buffers.split_first_mut().expect("buffer per depth");
-    let Some((candidates, start, end)) =
-        candidate_range(plan, ctx, depth, bound, current_buf, tmp, words)
-    else {
-        return;
-    };
-    if depth == n - 1 {
-        // Innermost loop: every candidate not already bound is an embedding.
-        for &v in &candidates[start..end] {
-            if bound.contains(&v) {
-                continue;
-            }
-            bound.push(v);
-            visitor(bound);
-            bound.pop();
-        }
-        return;
-    }
-    for &v in &candidates[start..end] {
-        if bound.contains(&v) {
-            continue;
-        }
-        bound.push(v);
-        recurse(plan, ctx, depth + 1, bound, rest, tmp, words, visitor);
-        bound.pop();
-    }
-}
-
-/// The sink-driven twin of [`recurse`]: identical candidate generation and
-/// bound handling, but each embedding goes to a [`MatchSink`] and the walk
-/// unwinds as soon as the sink is full. Returns `false` on early exit.
-///
-/// For sinks that never saturate ([`CountSink`], [`super::sink::OrbitSink`])
-/// the `is_full` check is a constant `false` after monomorphisation, so the
-/// compiled loop matches the closure-based recursion bit for bit.
-#[allow(clippy::too_many_arguments)]
-fn recurse_sink<S: MatchSink>(
-    plan: &ExecutionPlan,
-    ctx: ExecCtx<'_>,
-    depth: usize,
-    bound: &mut Vec<VertexId>,
-    buffers: &mut [Vec<VertexId>],
-    tmp: &mut Vec<VertexId>,
-    words: &mut Vec<u64>,
     sink: &mut S,
 ) -> bool {
-    let n = plan.num_loops();
     let (current_buf, rest) = buffers.split_first_mut().expect("buffer per depth");
     let Some((candidates, start, end)) =
         candidate_range(plan, ctx, depth, bound, current_buf, tmp, words)
     else {
         return true;
     };
-    if depth == n - 1 {
-        // Innermost loop: every candidate not already bound is an embedding.
+    if depth + 1 == target {
+        // Innermost loop: every candidate not already bound completes a
+        // binding.
         for &v in &candidates[start..end] {
             if bound.contains(&v) {
                 continue;
@@ -461,7 +334,7 @@ fn recurse_sink<S: MatchSink>(
             continue;
         }
         bound.push(v);
-        let keep_going = recurse_sink(plan, ctx, depth + 1, bound, rest, tmp, words, sink);
+        let keep_going = recurse(plan, ctx, depth + 1, target, bound, rest, tmp, words, sink);
         bound.pop();
         if !keep_going {
             return false;
@@ -768,7 +641,7 @@ mod tests {
             let schedules = crate::schedule::efficient_schedules(&pattern);
             let plan = Configuration::new(pattern, schedules[0].clone(), sets[0].clone()).compile();
             assert_eq!(
-                count_embeddings_hub(&plan, &hubs),
+                count_embeddings_in(&plan, ExecCtx::with_hubs(&hubs)),
                 count_embeddings(&plan, &g),
                 "{name}"
             );
@@ -803,43 +676,18 @@ mod tests {
         let sets = generate_restriction_sets(&house, GenerationOptions::default());
         let plan = plan_for(house, vec![0, 1, 2, 3, 4], sets[0].clone());
         let total = count_embeddings(&plan, &g);
-        let mut sink = EmbedSink::new(plan.num_loops(), u64::MAX);
-        match_embeddings_in(&plan, ExecCtx::new(&g), 2, &mut sink);
-        assert_eq!(sink.len(), total);
-        // A limit stops the search early with exactly `limit` embeddings.
-        let limit = (total / 2).max(1);
-        let mut sink = EmbedSink::new(plan.num_loops(), limit);
-        match_embeddings_in(&plan, ExecCtx::new(&g), 2, &mut sink);
-        assert_eq!(sink.len(), limit.min(total));
-    }
-
-    #[test]
-    fn orbit_sink_sums_to_pattern_size_times_count() {
-        use crate::exec::sink::OrbitSink;
-        let g = generators::power_law(120, 5, 8);
-        let house = prefab::house();
-        let sets = generate_restriction_sets(&house, GenerationOptions::default());
-        let plan = plan_for(house, vec![0, 1, 2, 3, 4], sets[0].clone());
-        let total = count_embeddings(&plan, &g);
-        let mut sink = OrbitSink::new(g.num_vertices());
-        match_embeddings_in(&plan, ExecCtx::new(&g), 2, &mut sink);
-        let sum: u64 = sink.counts().iter().sum();
-        assert_eq!(sum, 5 * total);
-    }
-
-    #[test]
-    fn sample_sink_at_rate_one_is_exact() {
-        use crate::exec::sink::SampleSink;
-        let g = generators::power_law(120, 5, 19);
-        let house = prefab::house();
-        let sets = generate_restriction_sets(&house, GenerationOptions::default());
-        let plan = plan_for(house, vec![0, 1, 2, 3, 4], sets[0].clone());
-        let total = count_embeddings(&plan, &g);
-        let mut sink = SampleSink::new(99, 1.0);
-        match_embeddings_in(&plan, ExecCtx::new(&g), 2, &mut sink);
-        let est = sink.finish().estimate(1.0);
-        assert_eq!(est.estimate, total as f64);
-        assert_eq!(est.stderr, 0.0);
+        let ctx = ExecCtx::new(&g);
+        let mut buffers = SearchBuffers::new(plan.num_loops());
+        for limit in [u64::MAX, (total / 2).max(1)] {
+            let mut sink = EmbedSink::new(plan.num_loops(), limit);
+            let mut full = false;
+            for_each_prefix(&plan, ctx, 2, |prefix| {
+                full = full || !match_from_prefix_with(&plan, ctx, prefix, &mut buffers, &mut sink);
+            });
+            // A limit stops the search early with exactly `limit` embeddings.
+            assert_eq!(sink.len(), limit.min(total));
+            assert_eq!(full, limit <= total);
+        }
     }
 
     #[test]

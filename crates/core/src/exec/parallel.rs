@@ -1,24 +1,30 @@
 //! Multi-threaded execution with fine-grained prefix tasks and work
-//! stealing (the intra-node half of Section IV-E).
+//! stealing (the intra-node half of Section IV-E), and the pieces every
+//! execution shape shares.
 //!
 //! The paper's distributed design has a master thread execute the outermost
 //! loops and pack their bound values into tasks; worker threads unpack a
-//! task and run the remaining inner loops. Within one process the same idea
-//! becomes a streaming pipeline:
+//! task and run the remaining inner loops. Within one process there is one
+//! runtime for that, the persistent [`WorkerPool`]: the submitting thread
+//! streams depth-`d` prefixes to the workers in batches while the outer
+//! loops are still running, then helps drain its own job. The one-shot
+//! entry points here ([`count_parallel`], [`count_parallel_with_hubs`])
+//! start a pool for the call and drop it afterwards.
 //!
-//! * The **master** (the calling thread) enumerates valid prefixes of depth
-//!   `d` and pushes them into a global [`Injector`] in fixed-size batches —
-//!   the task list is never materialised, so workers start while the outer
-//!   loops are still running and the queue holds at most a window of tasks.
-//! * Each **worker** owns a lock-free Chase–Lev deque. It pops locally,
-//!   refills with [`Injector::steal_batch_and_pop`] (one lock per batch),
-//!   and steals batches from sibling deques when both run dry. Because
-//!   real-world degree distributions are heavily skewed, per-task cost
-//!   varies by orders of magnitude — fine-grained tasks plus stealing is
-//!   exactly what keeps the load balanced.
-//! * A task is an inline fixed-capacity [`PrefixTask`] (`Copy`, no heap),
-//!   and every worker reuses one [`SearchBuffers`]/[`IepScratch`], so the
-//!   steady-state worker loop performs **no heap allocation**.
+//! What a job does with each task is its `JobKind`: count the task's
+//! embeddings (by enumeration, or as one IEP term over the independent
+//! suffix, Section IV-D), or fold them into the shared state of a query
+//! mode (enumeration page, per-vertex counts, sampled estimate). One
+//! per-task kernel (`execute_task`) serves every kind on every thread —
+//! pool workers and the caller-runs master alike — and one runner
+//! (`run_degenerate`) executes the jobs that need no workers on the
+//! calling thread. A job's result is therefore the same sum of the same
+//! per-task terms whichever threads ran them, which is what keeps counts
+//! bit-identical across thread counts, batch sizes and hub layouts.
+//!
+//! A task is an inline fixed-capacity [`PrefixTask`] (`Copy`, no heap), and
+//! every worker reuses one `TaskScratch`, so the steady-state worker loop
+//! performs **no heap allocation**.
 //!
 //! Hub acceleration (degree-descending relabeling + bitset rows for the
 //! high-degree core, see [`graphpi_graph::hub`]) plugs in through
@@ -28,11 +34,11 @@
 use crate::config::{ExecutionPlan, MAX_LOOPS};
 use crate::exec::iep::{self, IepScratch};
 use crate::exec::interp::{self, ExecCtx, SearchBuffers};
-use crate::exec::sink::{sample_accepts, EmbedSink, ModeShared};
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+use crate::exec::pool::WorkerPool;
+use crate::exec::sink::{sample_accepts, EmbedSink, MatchSink, ModeShared};
 use graphpi_graph::csr::{CsrGraph, VertexId};
-use graphpi_graph::hub::{HubGraph, HubOptions};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use graphpi_graph::hub::HubGraph;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default number of prefix tasks pushed to the injector per batch.
 pub const DEFAULT_BATCH_SIZE: usize = 64;
@@ -119,8 +125,7 @@ pub fn default_prefix_depth(plan: &ExecutionPlan) -> usize {
     }
 }
 
-/// Resolves a requested worker count (0 = all available cores). Shared by
-/// the scoped executor and [`crate::exec::pool::WorkerPool`].
+/// Resolves a requested worker count (0 = all available cores).
 pub(crate) fn resolve_threads(requested: usize) -> usize {
     if requested > 0 {
         requested
@@ -131,30 +136,10 @@ pub(crate) fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-fn clamp_prefix_depth(plan: &ExecutionPlan, options: &ParallelOptions) -> usize {
-    let n = plan.num_loops();
-    let depth = options
-        .prefix_depth
-        .unwrap_or_else(|| default_prefix_depth(plan));
-    let depth = depth.clamp(1, n);
-    match options.mode {
-        // IEP replaces exactly the innermost `iep_suffix_len` loops, so a
-        // task must bind every outer loop: the candidate sets of the suffix
-        // vertices reference parents anywhere in the outer prefix.
-        CountMode::Iep if plan.iep_suffix_len >= 2 => n - plan.iep_suffix_len,
-        _ => depth,
-    }
-    .max(1)
-}
-
-/// Counts embeddings in parallel.
+/// Counts embeddings in parallel on a pool of `options.threads` workers
+/// started for this call.
 pub fn count_parallel(plan: &ExecutionPlan, graph: &CsrGraph, options: ParallelOptions) -> u64 {
-    if options.hub_bitsets {
-        let hubs = HubGraph::build(graph, HubOptions::default());
-        run(plan, ExecCtx::with_hubs(&hubs), options)
-    } else {
-        run(plan, ExecCtx::new(graph), options)
-    }
+    WorkerPool::new(options.threads).count(plan, graph, &options)
 }
 
 /// Counts embeddings in parallel against a prebuilt hub index (the
@@ -164,32 +149,62 @@ pub fn count_parallel_with_hubs(
     hubs: &HubGraph,
     options: ParallelOptions,
 ) -> u64 {
-    run(plan, ExecCtx::with_hubs(hubs), options)
+    WorkerPool::new(options.threads).count_with_hubs(plan, hubs, &options)
 }
 
-/// The execution strategy resolved from a plan and the requested options —
-/// the single source of truth for mode degradation, sequential fallbacks and
-/// degenerate depths, shared by the scoped executor ([`count_parallel`]) and
-/// the persistent pool ([`crate::exec::pool::WorkerPool`]), which is what
-/// keeps their counts bit-identical.
+/// What a job does with each of its prefix tasks.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum JobKind<'a> {
+    /// Count the task's embeddings into the job's raw total.
+    Count(CountMode),
+    /// Fold the task's embeddings into a query mode's shared state.
+    Mode(&'a ModeShared),
+}
+
+impl JobKind<'_> {
+    /// The count job for `mode` on `plan`. IEP with a suffix too short to
+    /// replace (including a plan compiled with IEP off) degrades to
+    /// enumeration, exactly like the sequential driver.
+    pub(crate) fn count(plan: &ExecutionPlan, mode: CountMode) -> Self {
+        let k = plan.iep_suffix_len;
+        if mode == CountMode::Iep && k >= 2 && plan.num_loops() > k {
+            JobKind::Count(CountMode::Iep)
+        } else {
+            JobKind::Count(CountMode::Enumerate)
+        }
+    }
+
+    /// `true` once further tasks cannot change the result (an enumeration
+    /// whose budget is fully claimed), so the producer may stop streaming.
+    pub(crate) fn is_saturated(&self) -> bool {
+        matches!(self, JobKind::Mode(shared) if shared.enumeration_full())
+    }
+
+    /// Turns a job's raw total into its embedding count: IEP totals are
+    /// divided by the plan's redundancy divisor.
+    pub(crate) fn finalize(&self, raw: u128, plan: &ExecutionPlan) -> u64 {
+        let divisor = match self {
+            JobKind::Count(CountMode::Iep) => plan.iep_divisor,
+            _ => 1,
+        };
+        iep::divide_raw_total(raw, divisor)
+    }
+}
+
+/// How a job must execute: the single source of truth for degenerate
+/// depths, shared by every entry point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ExecPath {
-    /// The plan has no loops; the count is zero.
+    /// The plan has no loops; the result is empty.
     Empty,
-    /// IEP with non-uniform prefix restrictions: delegate to the sequential
-    /// implementation (rare fallback, not worth a parallel variant of the
-    /// unrestricted re-plan).
-    SequentialIep,
-    /// The prefixes are already full embeddings; count them on the calling
-    /// thread without materialising anything.
+    /// The prefixes are already full embeddings; run them on the calling
+    /// thread without queueing anything.
     MasterOnly {
         /// The (full) prefix depth.
         depth: usize,
     },
     /// The real parallel job: stream depth-`depth` prefixes to workers.
     Tasks {
-        /// Effective counting mode (IEP may degrade to enumeration).
-        mode: CountMode,
         /// Task prefix depth.
         depth: usize,
         /// Tasks per injector batch.
@@ -197,165 +212,108 @@ pub(crate) enum ExecPath {
     },
 }
 
-/// Resolves how a plan must execute under the given options.
-pub(crate) fn resolve_path(plan: &ExecutionPlan, options: &ParallelOptions) -> ExecPath {
+/// Resolves how a job of `kind` on `plan` must execute under `options`.
+pub(crate) fn resolve_path(
+    plan: &ExecutionPlan,
+    options: &ParallelOptions,
+    kind: JobKind<'_>,
+) -> ExecPath {
     let n = plan.num_loops();
     if n == 0 {
         return ExecPath::Empty;
     }
-    let depth = clamp_prefix_depth(plan, options);
-
-    // IEP with a too-short suffix silently degrades to enumeration, exactly
-    // like the sequential path.
-    let mode = if options.mode == CountMode::Iep
-        && (plan.iep_suffix_len < 2 || n <= plan.iep_suffix_len)
-    {
-        CountMode::Enumerate
-    } else {
-        options.mode
+    let depth = match kind {
+        // IEP replaces exactly the innermost `iep_suffix_len` loops, so a
+        // task must bind every outer loop: the candidate sets of the suffix
+        // vertices reference parents anywhere in the outer prefix.
+        JobKind::Count(CountMode::Iep) => n - plan.iep_suffix_len,
+        _ => options
+            .prefix_depth
+            .unwrap_or_else(|| default_prefix_depth(plan))
+            .clamp(1, n),
     };
-
-    if mode == CountMode::Iep
-        && matches!(
-            plan.iep_correction,
-            crate::config::IepCorrection::DivideUnrestricted { .. }
-        )
-    {
-        return ExecPath::SequentialIep;
-    }
-
     if depth == n {
         return ExecPath::MasterOnly { depth };
     }
-
     let batch_size = if options.batch_size == 0 {
         DEFAULT_BATCH_SIZE
     } else {
         options.batch_size
     };
-    ExecPath::Tasks {
-        mode,
-        depth,
-        batch_size,
-    }
+    ExecPath::Tasks { depth, batch_size }
 }
 
-/// Executes the non-task [`ExecPath`] variants on the calling thread.
-/// Returns `None` for [`ExecPath::Tasks`], which needs workers.
+/// Executes the non-task [`ExecPath`] variants on the calling thread,
+/// returning the raw total. Returns `None` for [`ExecPath::Tasks`], which
+/// needs workers.
 pub(crate) fn run_degenerate(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
     path: ExecPath,
-) -> Option<u64> {
+    kind: JobKind<'_>,
+) -> Option<u128> {
     match path {
         ExecPath::Empty => Some(0),
-        ExecPath::SequentialIep => Some(iep::count_embeddings_iep_in(plan, ctx)),
         ExecPath::MasterOnly { depth } => {
-            let mut count = 0u64;
-            interp::for_each_prefix(plan, ctx, depth, |_| count += 1);
-            Some(count)
+            // Every depth-`depth` prefix is a full embedding; feed each
+            // through the shared per-task kernel (prefix == embedding).
+            let mut scratch = TaskScratch::default();
+            let mut raw = 0u128;
+            interp::for_each_prefix(plan, ctx, depth, |prefix| {
+                raw += execute_task(plan, ctx, kind, prefix, &mut scratch);
+            });
+            Some(raw)
         }
         ExecPath::Tasks { .. } => None,
     }
 }
 
-/// The producer core shared by the scoped executor and the pool: enumerates
-/// depth-`depth` prefixes and hands them out in batches of `batch_size`
-/// through `emit`, which drains the batch into whatever queue the caller
-/// uses. Tasks never materialise as a full list — workers overlap with
-/// enumeration and the queue stays bounded by a window.
-pub(crate) fn stream_prefix_batches(
-    plan: &ExecutionPlan,
-    ctx: ExecCtx<'_>,
-    depth: usize,
-    batch_size: usize,
-    mut emit: impl FnMut(&mut Vec<PrefixTask>),
-) {
-    let mut batch: Vec<PrefixTask> = Vec::with_capacity(batch_size);
-    interp::for_each_prefix(plan, ctx, depth, |prefix| {
-        batch.push(PrefixTask::from_slice(prefix));
-        if batch.len() == batch_size {
-            emit(&mut batch);
+/// The reusable per-thread scratch of [`execute_task`]: created once per
+/// worker (and per pool lane for the master) and reused for every task.
+#[derive(Debug)]
+pub(crate) struct TaskScratch {
+    buffers: SearchBuffers,
+    iep: IepScratch,
+}
+
+impl Default for TaskScratch {
+    fn default() -> Self {
+        Self {
+            buffers: SearchBuffers::new(MAX_LOOPS),
+            iep: IepScratch::new(),
         }
-    });
-    if !batch.is_empty() {
-        emit(&mut batch);
     }
 }
 
-/// The master side of a scoped parallel job: streams prefix batches into the
-/// shared injector and marks `done`. `after_batch` runs once per pushed
-/// batch (and once after `done` is set).
-pub(crate) fn stream_tasks(
+/// The per-task kernel every thread runs for every job: executes one prefix
+/// task of a `kind` job and returns its contribution to the job's raw total
+/// (0 for mode jobs, whose results go to their [`ModeShared`]).
+///
+/// Mode work accumulates locally (a page of embeddings, relaxed per-vertex
+/// adds, one sample decision) and merges under at most one brief lock per
+/// task, so concurrent workers never serialise on the match loop itself.
+pub(crate) fn execute_task(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
-    depth: usize,
-    batch_size: usize,
-    injector: &Injector<PrefixTask>,
-    done: &AtomicBool,
-    after_batch: impl Fn(),
-) {
-    stream_prefix_batches(plan, ctx, depth, batch_size, |batch| {
-        injector.push_batch(batch.drain(..));
-        after_batch();
-    });
-    done.store(true, Ordering::Release);
-    after_batch();
-}
-
-/// Counts the embeddings of one prefix task — the single per-task kernel
-/// every executor shares (scoped workers, pool workers serving any job, and
-/// the pool's caller-runs master helping), which is what keeps their counts
-/// bit-identical: a job's total is the same sum of the same per-task terms
-/// regardless of which threads ran them.
-#[inline]
-pub(crate) fn count_one_task(
-    plan: &ExecutionPlan,
-    ctx: ExecCtx<'_>,
-    mode: CountMode,
+    kind: JobKind<'_>,
     prefix: &[VertexId],
-    buffers: &mut SearchBuffers,
-    iep_scratch: &mut IepScratch,
-) -> u64 {
-    match mode {
-        CountMode::Enumerate => interp::count_from_prefix_with(plan, ctx, prefix, buffers),
-        CountMode::Iep => iep::iep_term_with(plan, ctx, prefix, iep_scratch),
-    }
-}
-
-/// Applies the IEP over-counting correction to a job's raw total.
-pub(crate) fn finalize_count(raw: u64, mode: CountMode, plan: &ExecutionPlan) -> u64 {
-    match mode {
-        CountMode::Enumerate => raw,
-        CountMode::Iep => raw / plan.iep_correction.divisor(),
-    }
-}
-
-/// The mode-generic twin of [`count_one_task`]: runs one prefix task's
-/// subtree into the job's [`ModeShared`]. Per-task work accumulates locally
-/// (a page of embeddings, relaxed per-vertex adds, one sample decision) and
-/// merges under at most one brief lock per task, so concurrent workers
-/// never serialise on the match loop itself. Shared by the pool's workers,
-/// the pool's caller-runs master and the degenerate sequential paths —
-/// every execution shape folds the same per-task contributions.
-pub(crate) fn mode_one_task(
-    plan: &ExecutionPlan,
-    ctx: ExecCtx<'_>,
-    shared: &ModeShared,
-    prefix: &[VertexId],
-    buffers: &mut SearchBuffers,
-) {
-    match shared {
-        ModeShared::Enumerate {
+    scratch: &mut TaskScratch,
+) -> u128 {
+    let buffers = &mut scratch.buffers;
+    match kind {
+        JobKind::Count(CountMode::Enumerate) => {
+            u128::from(interp::count_from_prefix_with(plan, ctx, prefix, buffers))
+        }
+        JobKind::Count(CountMode::Iep) => iep::iep_term_with(plan, ctx, prefix, &mut scratch.iep),
+        JobKind::Mode(ModeShared::Enumerate {
             limit,
             claimed,
             out,
-        } => {
+        }) => {
             if claimed.load(Ordering::Relaxed) >= *limit {
-                return; // budget exhausted: drain remaining tasks cheaply
+                return 0; // budget exhausted: drain remaining tasks cheaply
             }
-            let arity = plan.num_loops();
-            let mut local = EmbedSink::new(arity, u64::MAX);
+            let mut local = EmbedSink::new(plan.num_loops(), u64::MAX);
             // Claim budget per embedding: only claims below the limit
             // record, so at most `limit` embeddings are kept globally and
             // the first over-limit claim stops this task's search.
@@ -376,12 +334,13 @@ pub(crate) fn mode_one_task(
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
                     .extend_from_slice(local.vertices());
             }
+            0
         }
-        ModeShared::Orbit { counts } => {
-            let mut sink = SharedOrbit { counts };
-            interp::match_from_prefix_with(plan, ctx, prefix, buffers, &mut sink);
+        JobKind::Mode(ModeShared::Orbit { counts }) => {
+            interp::match_from_prefix_with(plan, ctx, prefix, buffers, &mut SharedOrbit { counts });
+            0
         }
-        ModeShared::Sample { seed, rate, accum } => {
+        JobKind::Mode(ModeShared::Sample { seed, rate, accum }) => {
             let accepted = sample_accepts(*seed, *rate, prefix);
             let y = if accepted {
                 interp::count_from_prefix_with(plan, ctx, prefix, buffers)
@@ -395,6 +354,7 @@ pub(crate) fn mode_one_task(
             if accepted {
                 accum.record(y);
             }
+            0
         }
     }
 }
@@ -409,7 +369,7 @@ struct ClaimingEmbed<'a> {
     full: bool,
 }
 
-impl crate::exec::sink::MatchSink for ClaimingEmbed<'_> {
+impl MatchSink for ClaimingEmbed<'_> {
     #[inline]
     fn on_match(&mut self, embedding: &[VertexId]) {
         if self.claimed.fetch_add(1, Ordering::Relaxed) < self.limit {
@@ -425,13 +385,13 @@ impl crate::exec::sink::MatchSink for ClaimingEmbed<'_> {
     }
 }
 
-/// An [`OrbitSink`]-shaped sink over the job's shared atomic counters
+/// Per-vertex participation counts over the job's shared atomic counters
 /// (relaxed adds: the final counts are order-free sums).
 struct SharedOrbit<'a> {
     counts: &'a [AtomicU64],
 }
 
-impl crate::exec::sink::MatchSink for SharedOrbit<'_> {
+impl MatchSink for SharedOrbit<'_> {
     #[inline]
     fn on_match(&mut self, embedding: &[VertexId]) {
         for &v in embedding {
@@ -440,170 +400,13 @@ impl crate::exec::sink::MatchSink for SharedOrbit<'_> {
     }
 }
 
-/// Executes the non-task [`ExecPath`] variants of a **mode** job on the
-/// calling thread; returns `false` for [`ExecPath::Tasks`], which needs
-/// workers. Mode plans are compiled with IEP disabled and executed with
-/// [`CountMode::Enumerate`], so [`ExecPath::SequentialIep`] cannot occur.
-pub(crate) fn run_mode_degenerate(
-    plan: &ExecutionPlan,
-    ctx: ExecCtx<'_>,
-    path: ExecPath,
-    shared: &ModeShared,
-) -> bool {
-    match path {
-        ExecPath::Empty => true,
-        ExecPath::SequentialIep => {
-            unreachable!("mode jobs never request IEP execution")
-        }
-        ExecPath::MasterOnly { depth } => {
-            // Every depth-`depth` prefix is a full embedding; feed each
-            // through the shared per-task kernel (prefix == embedding).
-            let mut buffers = SearchBuffers::new(plan.num_loops());
-            interp::for_each_prefix(plan, ctx, depth, |prefix| {
-                mode_one_task(plan, ctx, shared, prefix, &mut buffers);
-            });
-            true
-        }
-        ExecPath::Tasks { .. } => false,
-    }
-}
-
-fn run(plan: &ExecutionPlan, ctx: ExecCtx<'_>, options: ParallelOptions) -> u64 {
-    let threads = resolve_threads(options.threads);
-    let path = resolve_path(plan, &options);
-    if let Some(count) = run_degenerate(plan, ctx, path) {
-        return count;
-    }
-    let ExecPath::Tasks {
-        mode,
-        depth,
-        batch_size,
-    } = path
-    else {
-        unreachable!("run_degenerate handles every other path");
-    };
-
-    let injector: Injector<PrefixTask> = Injector::new();
-    let done = AtomicBool::new(false);
-    let total = AtomicU64::new(0);
-
-    let workers: Vec<Worker<PrefixTask>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<PrefixTask>> = workers.iter().map(Worker::stealer).collect();
-
-    std::thread::scope(|scope| {
-        for (me, worker) in workers.into_iter().enumerate() {
-            let stealers = &stealers;
-            let injector = &injector;
-            let done = &done;
-            let total = &total;
-            scope.spawn(move || {
-                // Scoped workers are born and die with this one job, so
-                // their scratch lives on their stack frame; pool workers
-                // pass in scratch that survives across jobs.
-                let mut buffers = SearchBuffers::new(plan.num_loops());
-                let mut iep_scratch = IepScratch::new();
-                total.fetch_add(
-                    process_tasks(
-                        plan,
-                        ctx,
-                        mode,
-                        &worker,
-                        me,
-                        stealers,
-                        injector,
-                        done,
-                        &mut buffers,
-                        &mut iep_scratch,
-                        std::thread::yield_now,
-                    ),
-                    Ordering::Relaxed,
-                );
-            });
-        }
-
-        stream_tasks(plan, ctx, depth, batch_size, &injector, &done, || {});
-    });
-
-    finalize_count(total.load(Ordering::Relaxed), mode, plan)
-}
-
-/// One worker's task-processing loop for one job: pop locally, refill from
-/// the injector in batches, steal batches from siblings, and count with the
-/// caller-provided reusable scratch. `idle` runs when no task is available
-/// anywhere but the job is not finished (scoped workers yield; pool workers
-/// park with a timeout). Returns the worker's local total.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn process_tasks(
-    plan: &ExecutionPlan,
-    ctx: ExecCtx<'_>,
-    mode: CountMode,
-    worker: &Worker<PrefixTask>,
-    me: usize,
-    stealers: &[Stealer<PrefixTask>],
-    injector: &Injector<PrefixTask>,
-    done: &AtomicBool,
-    buffers: &mut SearchBuffers,
-    iep_scratch: &mut IepScratch,
-    idle: impl Fn(),
-) -> u64 {
-    let mut local = 0u64;
-    loop {
-        match next_task(worker, me, stealers, injector) {
-            Some(task) => {
-                local += count_one_task(plan, ctx, mode, task.as_slice(), buffers, iep_scratch);
-            }
-            None => {
-                // No task anywhere. If the master has finished and the
-                // injector is drained, any still-queued task is owned by a
-                // sibling that will process it — safe to retire.
-                if done.load(Ordering::Acquire) && injector.is_empty() {
-                    break;
-                }
-                idle();
-            }
-        }
-    }
-    local
-}
-
-/// Task acquisition order: own deque, then a batch from the injector, then
-/// batches stolen from siblings.
-fn next_task(
-    worker: &Worker<PrefixTask>,
-    me: usize,
-    stealers: &[Stealer<PrefixTask>],
-    injector: &Injector<PrefixTask>,
-) -> Option<PrefixTask> {
-    if let Some(task) = worker.pop() {
-        return Some(task);
-    }
-    loop {
-        match injector.steal_batch_and_pop(worker) {
-            Steal::Success(task) => return Some(task),
-            Steal::Empty => break,
-            Steal::Retry => continue,
-        }
-    }
-    for (i, stealer) in stealers.iter().enumerate() {
-        if i == me {
-            continue;
-        }
-        match stealer.steal_batch_and_pop(worker) {
-            Steal::Success(task) => return Some(task),
-            // On Empty move to the next victim; on Retry (lost a CAS race)
-            // likewise — the caller's loop revisits every victim anyway.
-            Steal::Empty | Steal::Retry => {}
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Configuration;
     use crate::schedule::{efficient_schedules, Schedule};
     use graphpi_graph::generators;
+    use graphpi_graph::hub::HubOptions;
     use graphpi_pattern::prefab;
     use graphpi_pattern::restriction::{
         generate_restriction_sets, GenerationOptions, RestrictionSet,
@@ -765,18 +568,17 @@ mod tests {
 
     #[test]
     fn unrestricted_iep_fallback_in_parallel_api() {
-        // A plan whose IEP correction requires the unrestricted fallback
-        // must still return the exact count through the parallel API.
+        // A configuration without an exact IEP divisor compiles with IEP
+        // off; an IEP request through the parallel API then enumerates and
+        // returns exactly the sequential count.
         let g = generators::erdos_renyi(120, 600, 4);
         let pattern = prefab::path_pattern(5);
         let schedule = Schedule::new(&pattern, vec![2, 1, 3, 0, 4]);
         let restrictions = RestrictionSet::from_pairs(&[(2, 1)]);
         let plan = Configuration::new(pattern.clone(), schedule, restrictions).compile();
-        assert!(matches!(
-            plan.iep_correction,
-            crate::config::IepCorrection::DivideUnrestricted { .. }
-        ));
-        let expected = iep::count_embeddings_iep(&plan, &g);
+        assert_eq!(plan.iep_suffix_len, 0);
+        let expected = interp::count_embeddings(&plan, &g);
+        assert_eq!(iep::count_embeddings_iep(&plan, &g), expected);
         let got = count_parallel(
             &plan,
             &g,

@@ -1,27 +1,25 @@
-//! A persistent, **multi-tenant** work-stealing worker pool: the warm
-//! serving path.
+//! A persistent, **multi-tenant** work-stealing worker pool: the one
+//! runtime every parallel job runs on.
 //!
-//! [`super::parallel::count_parallel`] spawns and joins a fresh
-//! `std::thread::scope` per call. That is the right shape for one-shot batch
-//! counting, but in a long-lived service handling many queries the fixed
-//! costs dominate at fine task granularity: thread spawn/join is on the
-//! order of a millisecond, and every spawn re-allocates the per-worker
-//! search scratch. [`WorkerPool`] removes both, and (unlike its first
-//! incarnation, which serialized every job on a submit lock) runs **several
-//! jobs concurrently**:
+//! A long-lived service handles many queries, and at fine task granularity
+//! the fixed costs of a job would dominate if each one spawned threads
+//! (on the order of a millisecond) and re-allocated the per-worker search
+//! scratch. [`WorkerPool`] removes both and runs **several jobs
+//! concurrently**. One-shot batch counting
+//! ([`super::parallel::count_parallel`]) is the same pool, started for one
+//! call and dropped after it.
 //!
 //! * **Workers are spawned once** and live as long as the pool, keeping
-//!   their Chase–Lev deque, [`SearchBuffers`] and [`IepScratch`] alive
-//!   across jobs, so the warm path performs zero thread spawns and zero
-//!   steady-state allocation.
+//!   their Chase–Lev deque and `TaskScratch` alive across jobs, so the
+//!   warm path performs zero thread spawns and zero steady-state
+//!   allocation.
 //! * **Jobs occupy slots.** The pool owns a fixed table of
 //!   [`max_in_flight`](WorkerPool::max_in_flight) job slots. Each slot has
 //!   its **own injector lane**, and every queued task is **tagged** with its
 //!   slot index, so one worker can drain tasks from several active jobs
-//!   without ever mixing their counts: the per-task kernel
-//!   (`parallel::count_one_task`, shared with the scoped executor — which
-//!   is what keeps pooled counts bit-identical to scoped counts) adds into
-//!   the owning slot's total.
+//!   without ever mixing their results: the per-task kernel
+//!   (`parallel::execute_task`) adds into the owning slot's total, or
+//!   folds into the owning job's mode state.
 //! * **Completion is accounting, not thread handshakes.** Each slot counts
 //!   its published-but-unfinished tasks (`pending`); a job is complete when
 //!   its producer has finished streaming and `pending` returns to zero.
@@ -32,10 +30,13 @@
 //!   memory and scheduling overhead instead of accepting unbounded fan-in.
 //! * **Panic isolation per job.** Workers run every task under
 //!   `catch_unwind`: a poisoned plan marks *its own* slot panicked (the
-//!   submitter re-raises after the job completes, mirroring the scoped
-//!   executor's propagation through `thread::scope`) while tasks of
+//!   submitter re-raises after the job completes) while tasks of
 //!   concurrent jobs keep executing normally and the worker thread itself
 //!   survives for the next job.
+//! * **Two priorities.** Counts are interactive; mode jobs (paged
+//!   enumeration, orbit profiles, sampling) are pulled from only when
+//!   every count lane is dry, so a huge enumeration cannot starve small
+//!   counts.
 //!
 //! Two properties tune the pool for *small* queries, where a naive pool
 //! would drown the matching work in handshake overhead:
@@ -55,7 +56,7 @@
 //! # Safety model
 //!
 //! A slot stores type-erased pointers to the submitter's stack frame
-//! (plan/graph/hub index). Their validity is guaranteed by the accounting
+//! (plan/graph/hub index, and a mode job's shared state). Their validity is guaranteed by the accounting
 //! protocol: a worker only dereferences them while it holds a popped,
 //! not-yet-accounted task of that job, `pending` is incremented before a
 //! task is published and decremented only after the worker is done touching
@@ -67,17 +68,18 @@
 //! Chase–Lev release/acquire pair on sibling steals, and the acquire/release
 //! discipline on `pending`.
 
-use crate::config::{ExecutionPlan, MAX_LOOPS};
-use crate::exec::iep::IepScratch;
-use crate::exec::interp::{ExecCtx, SearchBuffers};
-use crate::exec::parallel::{self, CountMode, ExecPath, ParallelOptions, PrefixTask};
+use crate::config::ExecutionPlan;
+use crate::exec::interp::{self, ExecCtx};
+use crate::exec::parallel::{
+    self, CountMode, ExecPath, JobKind, ParallelOptions, PrefixTask, TaskScratch,
+};
 use crate::exec::sink::ModeShared;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use crossbeam::sync::{Parker, Unparker};
 use graphpi_graph::csr::CsrGraph;
 use graphpi_graph::hub::{HubGraph, HubOptions};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -115,19 +117,9 @@ struct JobSlot {
     graph: AtomicPtr<CsrGraph>,
     /// Null when executing without hub acceleration.
     hubs: AtomicPtr<HubGraph>,
-    /// Effective counting mode (`true` = one IEP term per task).
-    iep_mode: AtomicBool,
-    /// Mode-generic job state: null for count jobs (the unchanged hot
-    /// path); otherwise a pointer to the submitter's [`ModeShared`]
-    /// (enumeration page buffer / orbit counters / sample accumulator),
-    /// valid under exactly the same accounting protocol as `plan`/`graph`.
-    mode: AtomicPtr<ModeShared>,
-    /// Scheduling priority of the current job: `true` for interactive
-    /// counts, `false` for long mode jobs (paged enumeration, orbit
-    /// profiles), which workers only pull from once every high-priority
-    /// lane is dry — the 2-level priority that keeps a huge enumeration
-    /// from starving small counts.
-    high_priority: AtomicBool,
+    /// What the current job does with each task; also its scheduling
+    /// priority.
+    kind: PackedKind,
     /// This job's task lane. Pool-owned (not on the submitter's stack), so
     /// workers may probe any slot's lane at any time; a free slot's lane is
     /// simply empty.
@@ -138,8 +130,8 @@ struct JobSlot {
     pending: AtomicU64,
     /// No more tasks will be published to this job.
     producer_done: AtomicBool,
-    /// Raw embedding total (pre-IEP-correction) of the current job.
-    total: AtomicU64,
+    /// Raw total (before the IEP division) of the current count job.
+    total: WideTotal,
     /// A task of this job panicked; the submitter re-raises on completion.
     /// Concurrent jobs are unaffected.
     panicked: AtomicBool,
@@ -159,19 +151,16 @@ impl JobSlot {
             plan: AtomicPtr::new(std::ptr::null_mut()),
             graph: AtomicPtr::new(std::ptr::null_mut()),
             hubs: AtomicPtr::new(std::ptr::null_mut()),
-            iep_mode: AtomicBool::new(false),
-            mode: AtomicPtr::new(std::ptr::null_mut()),
-            high_priority: AtomicBool::new(true),
+            kind: PackedKind(AtomicUsize::new(PackedKind::COUNT)),
             injector: Injector::new(),
             pending: AtomicU64::new(0),
             producer_done: AtomicBool::new(false),
-            total: AtomicU64::new(0),
+            total: WideTotal::default(),
             panicked: AtomicBool::new(false),
             done_lock: Mutex::new(()),
             done_cv: Condvar::new(),
             scratch: Mutex::new(MasterScratch {
-                buffers: SearchBuffers::new(MAX_LOOPS),
-                iep: IepScratch::new(),
+                task: TaskScratch::default(),
                 deque: Worker::new_lifo(),
             }),
         }
@@ -203,10 +192,88 @@ impl JobSlot {
     }
 }
 
+/// A [`JobKind`] packed into one word, so that workers can read a lane's
+/// priority at any time without touching the submitter's stack: count jobs
+/// are the two small constants, and a mode job is the address of its
+/// [`ModeShared`] (never 0 or 1, since references are non-null and
+/// aligned).
+struct PackedKind(AtomicUsize);
+
+const _: () = assert!(std::mem::align_of::<ModeShared>() > 1);
+
+impl PackedKind {
+    const COUNT: usize = 0;
+    const COUNT_IEP: usize = 1;
+
+    fn store(&self, kind: JobKind<'_>) {
+        let word = match kind {
+            JobKind::Count(CountMode::Enumerate) => Self::COUNT,
+            JobKind::Count(CountMode::Iep) => Self::COUNT_IEP,
+            JobKind::Mode(shared) => shared as *const ModeShared as usize,
+        };
+        self.0.store(word, Ordering::Relaxed);
+    }
+
+    /// Mode jobs run at low priority.
+    fn is_low_priority(&self) -> bool {
+        self.0.load(Ordering::Relaxed) > Self::COUNT_IEP
+    }
+
+    /// # Safety
+    ///
+    /// The caller must hold a popped, not-yet-accounted task of this
+    /// slot's job, which keeps a mode job's [`ModeShared`] alive (module
+    /// safety model).
+    unsafe fn load<'a>(&self) -> JobKind<'a> {
+        match self.0.load(Ordering::Relaxed) {
+            Self::COUNT => JobKind::Count(CountMode::Enumerate),
+            Self::COUNT_IEP => JobKind::Count(CountMode::Iep),
+            word => JobKind::Mode(&*(word as *const ModeShared)),
+        }
+    }
+}
+
+/// A lock-free 128-bit sum: two 64-bit halves, the low one carrying into
+/// the high one. An add below 2^64 is a single `fetch_add` unless it
+/// carries, and the sum is read only after every adder has finished (job
+/// completion), so the halves never have to be read together.
+#[derive(Default)]
+struct WideTotal {
+    lo: AtomicU64,
+    hi: AtomicU64,
+}
+
+impl WideTotal {
+    fn reset(&self) {
+        self.lo.store(0, Ordering::Relaxed);
+        self.hi.store(0, Ordering::Relaxed);
+    }
+
+    fn add(&self, value: u128) {
+        if value == 0 {
+            return;
+        }
+        let (lo, hi) = (value as u64, (value >> 64) as u64);
+        let carry = self
+            .lo
+            .fetch_add(lo, Ordering::Relaxed)
+            .overflowing_add(lo)
+            .1;
+        let hi = hi.wrapping_add(u64::from(carry));
+        if hi != 0 {
+            self.hi.fetch_add(hi, Ordering::Relaxed);
+        }
+    }
+
+    fn load(&self) -> u128 {
+        u128::from(self.hi.load(Ordering::Relaxed)) << 64
+            | u128::from(self.lo.load(Ordering::Relaxed))
+    }
+}
+
 /// The persistent scratch of one lane's master (submitting) side.
 struct MasterScratch {
-    buffers: SearchBuffers,
-    iep: IepScratch,
+    task: TaskScratch,
     /// The master's own deque for batched lane drains (one injector lock
     /// per [`crossbeam::deque::BATCH`] tasks instead of one per task). Not
     /// registered with the worker stealers: the master only ever holds one
@@ -384,18 +451,28 @@ impl WorkerPool {
         ctx: ExecCtx<'_>,
         options: &ParallelOptions,
     ) -> u64 {
-        let path = parallel::resolve_path(plan, options);
-        if let Some(count) = parallel::run_degenerate(plan, ctx, path) {
+        let kind = JobKind::count(plan, options.mode);
+        kind.finalize(self.run_job(plan, ctx, options, kind), plan)
+    }
+
+    /// Runs one job of any kind and returns its raw total (0 for mode jobs,
+    /// whose results land in their [`ModeShared`]). Degenerate jobs run on
+    /// the calling thread; the rest stream their prefix tasks into a slot's
+    /// lane, help drain it, and wait for the worker-held tail.
+    pub(crate) fn run_job(
+        &self,
+        plan: &ExecutionPlan,
+        ctx: ExecCtx<'_>,
+        options: &ParallelOptions,
+        kind: JobKind<'_>,
+    ) -> u128 {
+        let path = parallel::resolve_path(plan, options, kind);
+        if let Some(raw) = parallel::run_degenerate(plan, ctx, path, kind) {
             // Degenerate paths run entirely on the calling thread: no slot,
             // no queue, naturally concurrent.
-            return count;
+            return raw;
         }
-        let ExecPath::Tasks {
-            mode,
-            depth,
-            batch_size,
-        } = path
-        else {
+        let ExecPath::Tasks { depth, batch_size } = path else {
             unreachable!("run_degenerate handles every other path");
         };
 
@@ -407,7 +484,7 @@ impl WorkerPool {
         // job's completion protocol left the lane drained, so plain stores
         // are enough: the injector push below publishes everything.
         debug_assert_eq!(slot.pending.load(Ordering::Relaxed), 0);
-        slot.total.store(0, Ordering::Relaxed);
+        slot.total.reset();
         slot.producer_done.store(false, Ordering::Relaxed);
         slot.panicked.store(false, Ordering::Relaxed);
         slot.plan
@@ -419,13 +496,7 @@ impl WorkerPool {
                 .map_or(std::ptr::null_mut(), |h| h as *const HubGraph as *mut _),
             Ordering::Relaxed,
         );
-        slot.iep_mode
-            .store(mode == CountMode::Iep, Ordering::Relaxed);
-        // Counts are the interactive workload: mode pointer null (workers
-        // take the unchanged counting hot path) and high scheduling
-        // priority.
-        slot.mode.store(std::ptr::null_mut(), Ordering::Relaxed);
-        slot.high_priority.store(true, Ordering::Relaxed);
+        slot.kind.store(kind);
 
         // Completion guard *before* the scratch lock: on unwind the scratch
         // guard drops (and unlocks) first, so `JobGuard::drop` can relock it
@@ -436,7 +507,14 @@ impl WorkerPool {
         debug_assert!(scratch.deque.is_empty());
 
         let tag = slot_idx as u32;
-        parallel::stream_prefix_batches(plan, ctx, depth, batch_size, |batch| {
+        stream_prefix_batches(plan, ctx, depth, batch_size, |batch| {
+            // Once further tasks cannot change the result (an enumeration
+            // whose budget is claimed), stop feeding the queue and let the
+            // in-flight tail drain.
+            if kind.is_saturated() {
+                batch.clear();
+                return;
+            }
             // Account before publishing so `pending` can never be observed
             // at zero while tasks sit in the lane.
             slot.pending
@@ -461,7 +539,7 @@ impl WorkerPool {
         // pop — the pointees live on this very stack frame, so only
         // *worker*-held tasks need the completion accounting — which makes
         // a panic below leave no unaccounted in-hand task behind.
-        let mut local = 0u64;
+        let mut local = 0u128;
         loop {
             let tagged = match scratch.deque.pop() {
                 Some(task) => task,
@@ -477,128 +555,17 @@ impl WorkerPool {
                 // burning time on a result that will be thrown away.
                 continue;
             }
-            local += parallel::count_one_task(
-                plan,
-                ctx,
-                mode,
-                tagged.task.as_slice(),
-                &mut scratch.buffers,
-                &mut scratch.iep,
-            );
+            local +=
+                parallel::execute_task(plan, ctx, kind, tagged.task.as_slice(), &mut scratch.task);
         }
-        slot.total.fetch_add(local, Ordering::Relaxed);
+        slot.total.add(local);
 
         drop(scratch_guard);
         let (raw, panicked) = guard.finish();
         if panicked {
             panic!("a pool worker panicked while executing this query");
         }
-        parallel::finalize_count(raw, mode, plan)
-    }
-
-    /// Runs a **mode** job (enumeration / orbit counts / sampling) on the
-    /// pool: the same slot protocol, task streaming, caller-runs helping
-    /// and completion accounting as [`WorkerPool::count_in`], but each task
-    /// folds its results into `shared` through
-    /// [`parallel::mode_one_task`] instead of adding to the slot total.
-    /// Mode jobs run at **low** scheduling priority: workers only pull from
-    /// their lanes when every interactive count lane is dry.
-    ///
-    /// The plan must be compiled with IEP disabled
-    /// ([`crate::engine::PlanOptions::enable_iep`] = false) and
-    /// `options.mode` must be [`CountMode::Enumerate`]; sinks observe
-    /// individual embeddings, which IEP never materialises.
-    pub(crate) fn run_mode_in(
-        &self,
-        plan: &ExecutionPlan,
-        ctx: ExecCtx<'_>,
-        options: &ParallelOptions,
-        shared: &ModeShared,
-    ) {
-        debug_assert_eq!(options.mode, CountMode::Enumerate);
-        let path = parallel::resolve_path(plan, options);
-        if parallel::run_mode_degenerate(plan, ctx, path, shared) {
-            return;
-        }
-        let ExecPath::Tasks {
-            depth, batch_size, ..
-        } = path
-        else {
-            unreachable!("run_mode_degenerate handles every other path");
-        };
-
-        let slot_idx = self.acquire_slot();
-        let pool_shared = &*self.shared;
-        let slot = &pool_shared.slots[slot_idx];
-
-        debug_assert_eq!(slot.pending.load(Ordering::Relaxed), 0);
-        slot.total.store(0, Ordering::Relaxed);
-        slot.producer_done.store(false, Ordering::Relaxed);
-        slot.panicked.store(false, Ordering::Relaxed);
-        slot.plan
-            .store(plan as *const ExecutionPlan as *mut _, Ordering::Relaxed);
-        slot.graph
-            .store(ctx.graph() as *const CsrGraph as *mut _, Ordering::Relaxed);
-        slot.hubs.store(
-            ctx.hubs()
-                .map_or(std::ptr::null_mut(), |h| h as *const HubGraph as *mut _),
-            Ordering::Relaxed,
-        );
-        slot.iep_mode.store(false, Ordering::Relaxed);
-        slot.mode
-            .store(shared as *const ModeShared as *mut _, Ordering::Relaxed);
-        slot.high_priority.store(false, Ordering::Relaxed);
-
-        let guard = JobGuard {
-            shared: pool_shared,
-            slot_idx,
-        };
-        let mut scratch_guard = slot.lock_scratch();
-        let scratch = &mut *scratch_guard;
-        debug_assert!(scratch.deque.is_empty());
-
-        let tag = slot_idx as u32;
-        parallel::stream_prefix_batches(plan, ctx, depth, batch_size, |batch| {
-            // Once an enumeration's budget is fully claimed every further
-            // task would early-return anyway; stop feeding the queue and
-            // let the in-flight tail drain.
-            if shared.enumeration_full() {
-                batch.clear();
-                return;
-            }
-            slot.pending
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            slot.injector
-                .push_batch(batch.drain(..).map(|task| TaggedTask { slot: tag, task }));
-            if slot.injector.len() > batch_size {
-                drop(lock_state(pool_shared));
-                pool_shared.job_ready.notify_one();
-            }
-        });
-        slot.producer_done.store(true, Ordering::Release);
-
-        // Caller-runs helping, mirroring `count_in`.
-        loop {
-            let tagged = match scratch.deque.pop() {
-                Some(task) => task,
-                None => match slot.injector.steal_batch_and_pop(&scratch.deque) {
-                    Steal::Success(task) => task,
-                    Steal::Empty => break,
-                    Steal::Retry => continue,
-                },
-            };
-            slot.pending.fetch_sub(1, Ordering::Relaxed);
-            if slot.panicked.load(Ordering::Relaxed) {
-                continue;
-            }
-            parallel::mode_one_task(plan, ctx, shared, tagged.task.as_slice(), &mut scratch.buffers);
-        }
-
-        drop(scratch_guard);
-        let (_, panicked) = guard.finish();
-        if panicked {
-            panic!("a pool worker panicked while executing this query");
-        }
+        raw
     }
 
     /// Claims a free job slot, blocking while `max_in_flight` jobs are
@@ -651,13 +618,13 @@ impl JobGuard<'_> {
     /// Normal-path completion: returns the raw total and the panic flag
     /// (read *before* the slot is released, after which another submitter
     /// may reset them).
-    fn finish(self) -> (u64, bool) {
+    fn finish(self) -> (u128, bool) {
         let result = self.complete();
         std::mem::forget(self); // completion already ran; skip Drop
         result
     }
 
-    fn complete(&self) -> (u64, bool) {
+    fn complete(&self) -> (u128, bool) {
         let slot = &self.shared.slots[self.slot_idx];
         // Normal path: the master already set `producer_done` and drained
         // the lane, so everything below is a no-op until the wait. On
@@ -702,7 +669,7 @@ impl JobGuard<'_> {
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         }
-        let raw = slot.total.load(Ordering::Relaxed);
+        let raw = slot.total.load();
         let panicked = slot.panicked.load(Ordering::Relaxed);
         // Free the slot (and wake one blocked submitter).
         let mut state = lock_state(self.shared);
@@ -716,6 +683,30 @@ impl JobGuard<'_> {
 impl Drop for JobGuard<'_> {
     fn drop(&mut self) {
         let _ = self.complete();
+    }
+}
+
+/// The producer side of a job: enumerates depth-`depth` prefixes and hands
+/// them out in batches of `batch_size` through `emit`, which drains the
+/// batch into the job's queue. Tasks never materialise as a full list —
+/// workers overlap with enumeration and the queue stays bounded by a
+/// window.
+fn stream_prefix_batches(
+    plan: &ExecutionPlan,
+    ctx: ExecCtx<'_>,
+    depth: usize,
+    batch_size: usize,
+    mut emit: impl FnMut(&mut Vec<PrefixTask>),
+) {
+    let mut batch: Vec<PrefixTask> = Vec::with_capacity(batch_size);
+    interp::for_each_prefix(plan, ctx, depth, |prefix| {
+        batch.push(PrefixTask::from_slice(prefix));
+        if batch.len() == batch_size {
+            emit(&mut batch);
+        }
+    });
+    if !batch.is_empty() {
+        emit(&mut batch);
     }
 }
 
@@ -733,8 +724,7 @@ fn worker_thread(
 ) {
     // The scratch that makes the warm path allocation-free: created once
     // per worker and reused for every task of every job the pool ever runs.
-    let mut buffers = SearchBuffers::new(MAX_LOOPS);
-    let mut iep_scratch = IepScratch::new();
+    let mut scratch = TaskScratch::default();
     let mut rotation = me; // fairness: stagger which lane each worker scans first
     let mut idle_rounds = 0u32;
 
@@ -743,7 +733,7 @@ fn worker_thread(
             Some(tagged) => {
                 idle_rounds = 0;
                 let slot = &shared.slots[tagged.slot as usize];
-                run_task(slot, &tagged.task, &mut buffers, &mut iep_scratch);
+                run_task(slot, &tagged.task, &mut scratch);
             }
             None => {
                 if shared.shutdown.load(Ordering::Acquire) {
@@ -778,19 +768,13 @@ fn worker_thread(
 /// Executes one tagged task against its job slot, isolating panics to that
 /// job, then accounts it. Tasks of a job already marked panicked are
 /// discarded (accounted without execution).
-fn run_task(
-    slot: &JobSlot,
-    task: &PrefixTask,
-    buffers: &mut SearchBuffers,
-    iep_scratch: &mut IepScratch,
-) {
+fn run_task(slot: &JobSlot, task: &PrefixTask, scratch: &mut TaskScratch) {
     if !slot.panicked.load(Ordering::Relaxed) {
         // SAFETY: we hold a popped, not-yet-accounted task of this slot's
         // job, so the submitter is still blocked from returning and the
-        // pointers are live (module-level safety model). The queue hop that
-        // delivered the task orders these loads after the submitter's
-        // stores. The mode pointer (when non-null) targets the same
-        // submitter stack frame and shares the same validity protocol.
+        // pointers (including a mode job's shared state) are live
+        // (module-level safety model). The queue hop that delivered the
+        // task orders these loads after the submitter's stores.
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| unsafe {
             let plan = &*slot.plan.load(Ordering::Relaxed);
             let hubs = slot.hubs.load(Ordering::Relaxed);
@@ -799,26 +783,10 @@ fn run_task(
             } else {
                 ExecCtx::with_hubs(&*hubs)
             };
-            let mode_ptr = slot.mode.load(Ordering::Relaxed);
-            if mode_ptr.is_null() {
-                // Count job: the unchanged hot path.
-                let mode = if slot.iep_mode.load(Ordering::Relaxed) {
-                    CountMode::Iep
-                } else {
-                    CountMode::Enumerate
-                };
-                parallel::count_one_task(plan, ctx, mode, task.as_slice(), buffers, iep_scratch)
-            } else {
-                // Mode job: results fold into the shared mode state; the
-                // slot total stays zero.
-                parallel::mode_one_task(plan, ctx, &*mode_ptr, task.as_slice(), buffers);
-                0
-            }
+            parallel::execute_task(plan, ctx, slot.kind.load(), task.as_slice(), scratch)
         }));
         match result {
-            Ok(count) => {
-                slot.total.fetch_add(count, Ordering::Relaxed);
-            }
+            Ok(raw) => slot.total.add(raw),
             // Poison only this job; the worker thread survives and the
             // scratch is safe to reuse (it is re-cleared at every use).
             Err(_) => slot.panicked.store(true, Ordering::Relaxed),
@@ -843,16 +811,14 @@ fn next_task(
     }
     let lanes = slots.len();
     *rotation = (*rotation + 1) % lanes;
-    // Two-pass priority scan: high-priority lanes (interactive counts)
-    // first, then low-priority lanes (paged enumeration and other mode
-    // jobs). Within each pass the rotation still spreads workers across
-    // lanes, so mode jobs make progress whenever count lanes are dry but
-    // never starve them of workers.
-    for pass in 0..2 {
-        let want_high = pass == 0;
+    // Two-pass priority scan: count lanes first, then mode lanes (paged
+    // enumeration and the other modes). Within each pass the rotation
+    // still spreads workers across lanes, so mode jobs make progress
+    // whenever count lanes are dry but never starve them of workers.
+    for low_priority in [false, true] {
         for i in 0..lanes {
             let slot = &slots[(*rotation + i) % lanes];
-            if slot.high_priority.load(Ordering::Relaxed) != want_high {
+            if slot.kind.is_low_priority() != low_priority {
                 continue;
             }
             loop {
@@ -903,22 +869,25 @@ mod tests {
     }
 
     #[test]
-    fn pool_matches_scoped_execution() {
+    fn warm_pool_matches_per_call_pool_and_sequential() {
         let g = generators::power_law(200, 5, 9);
         let pool = WorkerPool::new(3);
         for (name, pattern) in prefab::evaluation_patterns().into_iter().take(3) {
             let plan = plan_for(pattern);
+            let sequential = interp::count_embeddings(&plan, &g);
             for mode in [CountMode::Enumerate, CountMode::Iep] {
                 let options = ParallelOptions {
                     threads: 3,
                     mode,
                     ..Default::default()
                 };
+                let warm = pool.count(&plan, &g, &options);
                 assert_eq!(
-                    pool.count(&plan, &g, &options),
+                    warm,
                     count_parallel(&plan, &g, options),
                     "{name} ({mode:?})"
                 );
+                assert_eq!(warm, sequential, "{name} ({mode:?})");
             }
         }
     }
@@ -1218,6 +1187,8 @@ mod tests {
 
     #[test]
     fn pool_iep_unrestricted_fallback_matches_sequential() {
+        // Without an exact IEP divisor the plan compiles with IEP off, and
+        // an IEP request on the pool enumerates the sequential count.
         use crate::schedule::Schedule;
         use graphpi_pattern::restriction::RestrictionSet;
         let g = generators::erdos_renyi(100, 500, 5);
@@ -1225,6 +1196,7 @@ mod tests {
         let schedule = Schedule::new(&pattern, vec![2, 1, 3, 0, 4]);
         let restrictions = RestrictionSet::from_pairs(&[(2, 1)]);
         let plan = Configuration::new(pattern, schedule, restrictions).compile();
+        assert_eq!(plan.iep_suffix_len, 0);
         let pool = WorkerPool::new(2);
         let options = ParallelOptions {
             mode: CountMode::Iep,

@@ -1,29 +1,21 @@
 //! Match sinks: what the execution core *does* with each embedding.
 //!
-//! The matching kernel used to hard-code `count += 1`; every executor was a
-//! counter and nothing else. [`MatchSink`] turns the kernel into a pipeline
-//! stage: the recursive matcher ([`crate::exec::interp`]) drives a sink once
-//! per embedding, and the sink decides whether to tally, record, profile or
-//! sample it. Counting becomes one mode among several:
+//! The recursive matcher ([`crate::exec::interp`]) drives a [`MatchSink`]
+//! once per embedding, and the sink decides whether to tally or record it:
 //!
-//! * [`CountSink`] — the classic global count. Monomorphised into the same
-//!   machine code as the old closure-based counter, so the count path stays
-//!   bit-identical and benchmark-neutral.
+//! * [`CountSink`] — the global count, monomorphised into a `count += 1`
+//!   hot loop.
 //! * [`EmbedSink`] — records full vertex tuples (enumeration), bounded by a
-//!   limit so paged/streaming consumers can stop early.
-//! * [`OrbitSink`] — per-vertex participation counts (local motif
-//!   profiles): `counts[v]` is the number of embeddings containing `v`.
-//! * [`SampleSink`] — seeded uniform prefix-sampling with a
-//!   Horvitz–Thompson estimate and standard error, for approximate counts
-//!   at interactive latency.
+//!   limit so paged consumers can stop early.
 //!
-//! The parallel executors do not share one sink across workers; each worker
-//! accumulates locally and merges into a [`ModeShared`] (the job-level
-//! shared state) under brief, per-task synchronisation. IEP never applies
-//! to sink modes — a sink observes *individual* embeddings, which is
-//! exactly what IEP avoids materialising — so mode plans are compiled with
-//! IEP disabled at the planner
-//! ([`crate::engine::PlanOptions::enable_iep`]).
+//! The other query modes — per-vertex (orbit) counts and Horvitz–Thompson
+//! sampled counts — exist only as pool jobs: each prefix task folds its
+//! result into the job's `ModeShared` under brief, per-task
+//! synchronisation (`parallel::execute_task`), and the sampling decision
+//! for a task is [`sample_accepts`] on its prefix. IEP never applies to
+//! these modes — they observe *individual* embeddings, which is exactly
+//! what IEP avoids materialising — so their plans are compiled with IEP
+//! disabled ([`crate::engine::PlanOptions::enable_iep`]).
 
 use graphpi_graph::csr::VertexId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,14 +31,6 @@ pub trait MatchSink {
     /// Consumes one embedding (bound vertices in schedule order).
     fn on_match(&mut self, embedding: &[VertexId]);
 
-    /// Task-level admission: called once per search prefix before the
-    /// subtree below it is explored; returning `false` skips the subtree
-    /// entirely. The default admits everything; [`SampleSink`] implements
-    /// its sampling decision here.
-    fn accept_prefix(&mut self, _prefix: &[VertexId]) -> bool {
-        true
-    }
-
     /// `true` once the sink wants no further embeddings (the matcher stops
     /// at the next opportunity). The default never saturates.
     fn is_full(&self) -> bool {
@@ -54,9 +38,8 @@ pub trait MatchSink {
     }
 }
 
-/// The zero-overhead counting sink: `on_match` is `count += 1`, exactly the
-/// closure the pre-sink kernel inlined, so counting through the sink
-/// pipeline monomorphises to the same hot loop.
+/// The zero-overhead counting sink: `on_match` is `count += 1`, which the
+/// matcher's recursion monomorphises into its innermost loop.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CountSink {
     count: u64,
@@ -120,7 +103,10 @@ impl EmbedSink {
 
     /// Consumes the sink, returning one `Vec` per embedding.
     pub fn into_embeddings(self) -> Vec<Vec<VertexId>> {
-        self.buf.chunks(self.arity.max(1)).map(<[_]>::to_vec).collect()
+        self.buf
+            .chunks(self.arity.max(1))
+            .map(<[_]>::to_vec)
+            .collect()
     }
 }
 
@@ -137,42 +123,6 @@ impl MatchSink for EmbedSink {
     #[inline]
     fn is_full(&self) -> bool {
         self.recorded >= self.limit
-    }
-}
-
-/// Accumulates per-vertex participation counts: `counts()[v]` is the number
-/// of (restriction-deduplicated) embeddings that contain data vertex `v`.
-/// Summing over all vertices yields `pattern_size × global_count`.
-#[derive(Debug)]
-pub struct OrbitSink {
-    counts: Vec<u64>,
-}
-
-impl OrbitSink {
-    /// A sink over a graph with `num_vertices` vertices.
-    pub fn new(num_vertices: usize) -> Self {
-        Self {
-            counts: vec![0; num_vertices],
-        }
-    }
-
-    /// The per-vertex counts, indexed by data vertex id.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Consumes the sink, returning the per-vertex counts.
-    pub fn into_counts(self) -> Vec<u64> {
-        self.counts
-    }
-}
-
-impl MatchSink for OrbitSink {
-    #[inline]
-    fn on_match(&mut self, embedding: &[VertexId]) {
-        for &v in embedding {
-            self.counts[v as usize] += 1;
-        }
     }
 }
 
@@ -291,69 +241,6 @@ pub struct SampleEstimate {
     pub total: u64,
 }
 
-/// A sequential sampling sink: admits whole prefix subtrees with
-/// probability `rate` (decided in [`MatchSink::accept_prefix`]) and counts
-/// the embeddings of the admitted ones. The parallel executors make the
-/// same `(seed, prefix)` decision per task instead — identical statistics,
-/// since a task *is* a prefix subtree.
-#[derive(Debug)]
-pub struct SampleSink {
-    seed: u64,
-    rate: f64,
-    /// Count inside the currently admitted subtree (folded into the
-    /// accumulator at the next subtree boundary).
-    current: u64,
-    /// An admitted subtree is open and must be flushed.
-    pending: bool,
-    accum: SampleAccum,
-}
-
-impl SampleSink {
-    /// A sink sampling prefixes at `rate` under `seed`.
-    pub fn new(seed: u64, rate: f64) -> Self {
-        Self {
-            seed,
-            rate,
-            current: 0,
-            pending: false,
-            accum: SampleAccum::default(),
-        }
-    }
-
-    /// Finishes the current subtree (if any) and returns the accumulated
-    /// statistics.
-    pub fn finish(mut self) -> SampleAccum {
-        self.flush();
-        self.accum
-    }
-
-    fn flush(&mut self) {
-        if self.pending {
-            self.accum.record(self.current);
-            self.current = 0;
-            self.pending = false;
-        }
-    }
-}
-
-impl MatchSink for SampleSink {
-    #[inline]
-    fn on_match(&mut self, _embedding: &[VertexId]) {
-        self.current += 1;
-    }
-
-    fn accept_prefix(&mut self, prefix: &[VertexId]) -> bool {
-        self.flush();
-        self.accum.total += 1;
-        if sample_accepts(self.seed, self.rate, prefix) {
-            self.pending = true;
-            true
-        } else {
-            false
-        }
-    }
-}
-
 /// Job-level shared state of a mode execution: what per-worker local
 /// accumulation merges into. One instance lives on the submitting thread's
 /// stack for the duration of the job, referenced by the pool's job slot
@@ -451,14 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn orbit_sink_accumulates_membership() {
-        let mut sink = OrbitSink::new(5);
-        sink.on_match(&[0, 2, 4]);
-        sink.on_match(&[2, 3, 4]);
-        assert_eq!(sink.counts(), &[1, 0, 2, 1, 2]);
-    }
-
-    #[test]
     fn prefix_hash_is_deterministic_and_seed_sensitive() {
         let a = prefix_hash(7, &[1, 2, 3]);
         assert_eq!(a, prefix_hash(7, &[1, 2, 3]));
@@ -471,8 +350,10 @@ mod tests {
         for v in 0..100u32 {
             assert!(sample_accepts(3, 1.0, &[v]));
         }
-        let mut accum = SampleAccum::default();
-        accum.total = 10;
+        let mut accum = SampleAccum {
+            total: 10,
+            ..SampleAccum::default()
+        };
         for y in [5u64, 0, 7, 3, 1, 0, 0, 2, 9, 4] {
             accum.record(y);
         }

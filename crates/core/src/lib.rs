@@ -46,7 +46,7 @@ pub mod perf_model;
 pub mod persist;
 pub mod schedule;
 
-pub use config::{Configuration, ExecutionPlan, IepCorrection, PoolOptions, ServeOptions};
+pub use config::{Configuration, ExecutionPlan, PoolOptions, ServeOptions};
 pub use dynamic::{DynamicEngine, PinnedEngine};
 pub use engine::{
     ApproxCount, CacheStats, CountOptions, GraphPi, Plan, PlanCache, PlanOptions, SavedPlanKey,

@@ -664,11 +664,10 @@ impl RetryingClient {
                     result.pages,
                 ));
             }
-            let page = EnumPage::decode(&frame.payload)
-                .ok_or((
-                    NetError::Protocol("undecodable ENUM_PAGE payload"),
-                    result.pages,
-                ))?;
+            let page = EnumPage::decode(&frame.payload).ok_or((
+                NetError::Protocol("undecodable ENUM_PAGE payload"),
+                result.pages,
+            ))?;
             if usize::from(page.pattern_size) != pattern.num_vertices() {
                 return Err((
                     NetError::Protocol("page pattern size does not match the request"),

@@ -1021,7 +1021,10 @@ impl EnumPage {
 
     /// Serialises the payload.
     pub fn encode(&self) -> Vec<u8> {
-        debug_assert_eq!(self.vertices.len() % usize::from(self.pattern_size.max(1)), 0);
+        debug_assert_eq!(
+            self.vertices.len() % usize::from(self.pattern_size.max(1)),
+            0
+        );
         let mut out = Vec::with_capacity(8 + 4 * self.vertices.len());
         out.push(if self.last { Self::FLAG_LAST } else { 0 });
         out.push(self.pattern_size);
@@ -1050,9 +1053,7 @@ impl EnumPage {
         }
         let n = u32::from_le_bytes(payload[4..8].try_into().ok()?) as usize;
         let vertex_bytes = &payload[8..];
-        let expected = n
-            .checked_mul(usize::from(pattern_size))?
-            .checked_mul(4)?;
+        let expected = n.checked_mul(usize::from(pattern_size))?.checked_mul(4)?;
         if vertex_bytes.len() != expected {
             return None;
         }
@@ -2441,7 +2442,10 @@ mod tests {
         };
         assert_eq!(EnumerateRequest::decode(&req.encode()).unwrap(), req);
         // Zero limits, unknown flags and truncations never parse.
-        let zero_limit = EnumerateRequest { limit: 0, ..req.clone() };
+        let zero_limit = EnumerateRequest {
+            limit: 0,
+            ..req.clone()
+        };
         assert!(EnumerateRequest::decode(&zero_limit.encode()).is_none());
         let mut flagged = req.encode();
         flagged[0] |= 0x80;

@@ -348,7 +348,11 @@ fn request_fingerprint(request: &CountRequest) -> u64 {
         QueryMode::Orbit => eat(1),
         QueryMode::Sample { seed, rate_bits } => {
             eat(2);
-            for byte in seed.to_le_bytes().into_iter().chain(rate_bits.to_le_bytes()) {
+            for byte in seed
+                .to_le_bytes()
+                .into_iter()
+                .chain(rate_bits.to_le_bytes())
+            {
                 eat(byte);
             }
         }

@@ -148,3 +148,41 @@ fn fixed_graph_has_the_hand_counted_structure() {
     assert_eq!(engine_count(&g, &prefab::path_pattern(2)), 9);
     assert_eq!(engine_count(&g, &prefab::triangle()), 4);
 }
+
+#[test]
+fn large_star_counts_do_not_overflow_iep() {
+    // Six leaves of a star with L leaves occur C(L, 6) times. With the
+    // centre bound first, the six leaves are the IEP suffix and the
+    // centre's IEP term is the number of ordered 6-tuples of distinct
+    // leaves, about L^6: past 64 bits at 1600 leaves (~1.7e19), and by a
+    // factor of 40 at 3000. Both the sequential and the default parallel
+    // path must still return the exact count. The configuration is given
+    // explicitly (centre first, leaves ordered by id) because planning a
+    // 7-vertex star ranks 46,080 candidates.
+    use graphpi::core::Schedule;
+    use graphpi::pattern::RestrictionSet;
+    let star7 = prefab::star_pattern(7);
+    let schedule = Schedule::new(&star7, (0..7).collect());
+    let leaf_order = RestrictionSet::from_pairs(&[(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]);
+    let sequential_iep = CountOptions {
+        threads: 1,
+        ..CountOptions::default()
+    };
+    for leaves in [1600u64, 3000] {
+        let engine = GraphPi::new(generators::star(leaves as usize + 1));
+        for options in [sequential_iep, CountOptions::default()] {
+            let count = engine.count_with_configuration(
+                schedule.clone(),
+                leaf_order.clone(),
+                &star7,
+                options,
+            );
+            assert_eq!(
+                count,
+                choose(leaves, 6),
+                "6-leaf stars in a {leaves}-leaf star, threads = {}",
+                options.threads
+            );
+        }
+    }
+}
