@@ -2,19 +2,23 @@
 //! over any [`Transport`], plus the retrying client built on top of it.
 //!
 //! `Client` is what `graphpi-cli remote` and the network tests are built
-//! on. Each method sends exactly one request frame and blocks for exactly
-//! one response frame; a typed server error ([`op::ERROR`]) surfaces as
+//! on, and the only code that encodes requests, decodes replies and reads
+//! the `ENUM_PAGE` stream. Each method sends exactly one request frame and
+//! reads its response; a typed server error ([`op::ERROR`]) surfaces as
 //! [`NetError::Remote`] with its [`ErrorCode`] intact, so callers can
 //! distinguish "your deadline expired" from "your pattern is disconnected"
-//! without string matching.
+//! without string matching, and a transport read timeout surfaces as
+//! [`NetError::Idle`].
 //!
-//! [`RetryingClient`] wraps the same wire exchange in a [`RetryPolicy`]:
-//! bounded attempts, exponential backoff with seeded jitter, per-attempt
-//! and overall deadlines, and automatic reconnect through a caller-
-//! supplied connector. COUNT retries carry a client-generated request ID
-//! so a resend after an *ambiguous* failure (reply lost mid-read) is
-//! answered from the server's completed-request ledger instead of
-//! double-executing.
+//! [`RetryingClient`] runs a `Client` under a [`RetryPolicy`]: every call
+//! goes through one retry loop with bounded attempts, exponential backoff
+//! with seeded jitter stretched to any server retry-after hint,
+//! per-attempt and overall deadlines, and automatic reconnect through a
+//! caller-supplied connector. COUNT and UPDATE retries carry a
+//! client-generated request ID so a resend after an *ambiguous* failure
+//! (reply lost mid-read) is answered from the server's completed-request
+//! ledger instead of double-executing; ENUMERATE is resent only while no
+//! page has arrived.
 
 use super::chaos::SplitMix64;
 use super::protocol::{
@@ -46,8 +50,7 @@ pub struct RemoteCountOptions {
     /// up and shedding with `RETRY_LATER` past its wait budget.
     pub min_generation: u64,
     /// Execution mode: a plain count (default), per-vertex orbit counts
-    /// (summarised in the reply), or a seeded sampled estimate
-    /// (protocol v2).
+    /// (summarised in the reply), or a seeded sampled estimate.
     pub mode: QueryMode,
 }
 
@@ -68,7 +71,7 @@ pub struct RemoteEnumerateOptions {
 
 /// A completed remote enumeration: every embedding received, plus how
 /// many pages carried them.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RemoteEnumeration {
     /// The embeddings, one `Vec` per match, indexed by pattern vertex.
     pub embeddings: Vec<Vec<u32>>,
@@ -103,6 +106,10 @@ pub struct RemoteCount {
 }
 
 /// A synchronous GraphPi protocol client over any [`Transport`].
+///
+/// Each call sends one request frame and reads its reply. A transport
+/// read timeout surfaces as [`NetError::Idle`]: the client never waits
+/// past the timeout its transport was given.
 #[derive(Debug)]
 pub struct Client<T: Transport = TcpTransport> {
     transport: T,
@@ -126,20 +133,11 @@ impl<T: Transport> Client<T> {
         self.transport
     }
 
-    /// Sends one request and receives its response, surfacing server
-    /// [`op::ERROR`] frames as [`NetError::Remote`].
-    fn roundtrip(&mut self, request: &Frame, expect: u8) -> Result<Frame, NetError> {
-        self.transport.send(request)?;
-        let response = loop {
-            match self.transport.recv() {
-                Ok(frame) => break frame,
-                // Only surfaced when the caller configured a read timeout
-                // on the transport; the query is still running, keep
-                // waiting.
-                Err(NetError::Idle) => continue,
-                Err(error) => return Err(error),
-            }
-        };
+    /// Receives one reply frame, surfacing server [`op::ERROR`] frames as
+    /// [`NetError::Remote`] and any opcode but `expect` as a protocol
+    /// violation.
+    fn recv_reply(&mut self, expect: u8) -> Result<Frame, NetError> {
+        let response = self.transport.recv()?;
         if response.opcode == op::ERROR {
             let error = WireError::decode(&response.payload)
                 .ok_or(NetError::Protocol("undecodable error payload"))?;
@@ -153,11 +151,16 @@ impl<T: Transport> Client<T> {
         Ok(response)
     }
 
+    /// Sends one request and returns the payload of its single reply.
+    fn roundtrip(&mut self, opcode: u8, payload: Vec<u8>, expect: u8) -> Result<Vec<u8>, NetError> {
+        self.transport.send(&Frame::new(opcode, payload))?;
+        Ok(self.recv_reply(expect)?.payload)
+    }
+
     /// Liveness probe: sends `PING`, expects the payload echoed back.
     pub fn ping(&mut self) -> Result<(), NetError> {
-        let payload = vec![0xA5, 0x5A, 0x42];
-        let response = self.roundtrip(&Frame::new(op::PING, payload.clone()), op::PONG)?;
-        if response.payload != payload {
+        const PAYLOAD: [u8; 3] = [0xA5, 0x5A, 0x42];
+        if self.roundtrip(op::PING, PAYLOAD.to_vec(), op::PONG)? != PAYLOAD {
             return Err(NetError::Protocol("pong payload was not echoed"));
         }
         Ok(())
@@ -183,9 +186,9 @@ impl<T: Transport> Client<T> {
             mode: options.mode,
             pattern: pattern.canonical_bytes(),
         };
-        let response = self.roundtrip(&Frame::new(op::COUNT, request.encode()), op::COUNT_OK)?;
-        let ok = CountOk::decode(&response.payload)
-            .ok_or(NetError::Protocol("undecodable COUNT_OK payload"))?;
+        let payload = self.roundtrip(op::COUNT, request.encode(), op::COUNT_OK)?;
+        let ok =
+            CountOk::decode(&payload).ok_or(NetError::Protocol("undecodable COUNT_OK payload"))?;
         Ok(RemoteCount {
             count: ok.count,
             elapsed: Duration::from_micros(ok.elapsed_micros),
@@ -194,7 +197,7 @@ impl<T: Transport> Client<T> {
     }
 
     /// Enumerates up to `limit` embeddings with default options,
-    /// collecting every streamed page (protocol v2).
+    /// collecting every streamed page.
     pub fn enumerate(
         &mut self,
         pattern: &Pattern,
@@ -216,6 +219,20 @@ impl<T: Transport> Client<T> {
         limit: u64,
         options: RemoteEnumerateOptions,
     ) -> Result<RemoteEnumeration, NetError> {
+        let mut result = RemoteEnumeration::default();
+        self.enumerate_into(pattern, limit, options, &mut result)?;
+        Ok(result)
+    }
+
+    /// Runs one enumeration, appending pages to `result` as they arrive,
+    /// so a caller can tell after a failure whether any page was received.
+    fn enumerate_into(
+        &mut self,
+        pattern: &Pattern,
+        limit: u64,
+        options: RemoteEnumerateOptions,
+        result: &mut RemoteEnumeration,
+    ) -> Result<(), NetError> {
         let request = EnumerateRequest {
             hub_bitsets: options.hub_bitsets,
             deadline_ms: options.deadline_ms,
@@ -225,26 +242,8 @@ impl<T: Transport> Client<T> {
         };
         self.transport
             .send(&Frame::new(op::ENUMERATE, request.encode()))?;
-        let mut result = RemoteEnumeration {
-            embeddings: Vec::new(),
-            pages: 0,
-        };
         loop {
-            let frame = match self.transport.recv() {
-                Ok(frame) => frame,
-                Err(NetError::Idle) => continue,
-                Err(error) => return Err(error),
-            };
-            if frame.opcode == op::ERROR {
-                let error = WireError::decode(&frame.payload)
-                    .ok_or(NetError::Protocol("undecodable error payload"))?;
-                return Err(error.into_net_error());
-            }
-            if frame.opcode != op::ENUM_PAGE {
-                return Err(NetError::Protocol(
-                    "response opcode does not match the request",
-                ));
-            }
+            let frame = self.recv_reply(op::ENUM_PAGE)?;
             let page = EnumPage::decode(&frame.payload)
                 .ok_or(NetError::Protocol("undecodable ENUM_PAGE payload"))?;
             if usize::from(page.pattern_size) != pattern.num_vertices() {
@@ -257,14 +256,14 @@ impl<T: Transport> Client<T> {
                 .embeddings
                 .extend(page.embeddings().map(<[u32]>::to_vec));
             if page.last {
-                return Ok(result);
+                return Ok(());
             }
         }
     }
 
-    /// Commits one edge batch (protocol v2). Inserts apply before
-    /// deletes; the reply carries the generation the batch produced.
-    /// Static servers answer [`ErrorCode::ReadOnly`].
+    /// Commits one edge batch. Inserts apply before deletes; the reply
+    /// carries the generation the batch produced. Static servers answer
+    /// [`ErrorCode::ReadOnly`].
     pub fn update(
         &mut self,
         inserts: &[(u32, u32)],
@@ -273,69 +272,57 @@ impl<T: Transport> Client<T> {
         self.update_with(inserts, deletes, RemoteUpdateOptions::default())
     }
 
-    /// Commits one edge batch with explicit options.
+    /// Commits one edge batch with explicit options, refusing batches
+    /// that cannot fit one frame (the caller must split them — see
+    /// [`MAX_UPDATE_EDGES`]).
     pub fn update_with(
         &mut self,
         inserts: &[(u32, u32)],
         deletes: &[(u32, u32)],
         options: RemoteUpdateOptions,
     ) -> Result<UpdateOk, NetError> {
-        let request = encode_update(inserts, deletes, options)?;
-        let response = self.roundtrip(&Frame::new(op::UPDATE, request.encode()), op::UPDATE_OK)?;
-        UpdateOk::decode(&response.payload)
-            .ok_or(NetError::Protocol("undecodable UPDATE_OK payload"))
+        if inserts.len().saturating_add(deletes.len()) > MAX_UPDATE_EDGES {
+            return Err(NetError::Protocol(
+                "update batch exceeds one frame; split it into MAX_UPDATE_EDGES chunks",
+            ));
+        }
+        let request = UpdateRequest {
+            deadline_ms: options.deadline_ms,
+            request_id: options.request_id,
+            inserts: inserts.to_vec(),
+            deletes: deletes.to_vec(),
+        };
+        let payload = self.roundtrip(op::UPDATE, request.encode(), op::UPDATE_OK)?;
+        UpdateOk::decode(&payload).ok_or(NetError::Protocol("undecodable UPDATE_OK payload"))
     }
 
     /// Fetches the server's counter snapshot.
     pub fn stats(&mut self) -> Result<StatsOk, NetError> {
-        let response = self.roundtrip(&Frame::new(op::STATS, vec![]), op::STATS_OK)?;
-        StatsOk::decode(&response.payload).ok_or(NetError::Protocol("undecodable STATS_OK payload"))
+        let payload = self.roundtrip(op::STATS, vec![], op::STATS_OK)?;
+        StatsOk::decode(&payload).ok_or(NetError::Protocol("undecodable STATS_OK payload"))
     }
 
-    /// Probes server readiness (protocol v2): ready, draining, or
-    /// overloaded, with a retry-after hint when not ready.
+    /// Probes server readiness: ready, draining, or overloaded, with a
+    /// retry-after hint when not ready.
     pub fn health(&mut self) -> Result<HealthOk, NetError> {
-        let response = self.roundtrip(&Frame::new(op::HEALTH, vec![]), op::HEALTH_OK)?;
-        HealthOk::decode(&response.payload)
-            .ok_or(NetError::Protocol("undecodable HEALTH_OK payload"))
+        let payload = self.roundtrip(op::HEALTH, vec![], op::HEALTH_OK)?;
+        HealthOk::decode(&payload).ok_or(NetError::Protocol("undecodable HEALTH_OK payload"))
     }
 
-    /// Asks a replica to promote itself to primary (protocol v2),
-    /// blocking until its apply loop seals the stream. Idempotent on a
-    /// server that is already primary. Returns the sealed generation.
+    /// Asks a replica to promote itself to primary, blocking until its
+    /// apply loop seals the stream. Idempotent on a server that is
+    /// already primary. Returns the sealed generation.
     pub fn promote(&mut self) -> Result<PromoteOk, NetError> {
-        let response = self.roundtrip(&Frame::new(op::PROMOTE, vec![]), op::PROMOTE_OK)?;
-        PromoteOk::decode(&response.payload)
-            .ok_or(NetError::Protocol("undecodable PROMOTE_OK payload"))
+        let payload = self.roundtrip(op::PROMOTE, vec![], op::PROMOTE_OK)?;
+        PromoteOk::decode(&payload).ok_or(NetError::Protocol("undecodable PROMOTE_OK payload"))
     }
 
     /// Asks the server to drain and exit. The server acknowledges, then
     /// closes this connection.
     pub fn shutdown_server(&mut self) -> Result<(), NetError> {
-        self.roundtrip(&Frame::new(op::SHUTDOWN, vec![]), op::SHUTDOWN_OK)?;
+        self.roundtrip(op::SHUTDOWN, vec![], op::SHUTDOWN_OK)?;
         Ok(())
     }
-}
-
-/// Builds the wire request for an update, refusing batches that cannot
-/// fit one frame (the caller must split them — see
-/// [`MAX_UPDATE_EDGES`]).
-fn encode_update(
-    inserts: &[(u32, u32)],
-    deletes: &[(u32, u32)],
-    options: RemoteUpdateOptions,
-) -> Result<UpdateRequest, NetError> {
-    if inserts.len().saturating_add(deletes.len()) > MAX_UPDATE_EDGES {
-        return Err(NetError::Protocol(
-            "update batch exceeds one frame; split it into MAX_UPDATE_EDGES chunks",
-        ));
-    }
-    Ok(UpdateRequest {
-        deadline_ms: options.deadline_ms,
-        request_id: options.request_id,
-        inserts: inserts.to_vec(),
-        deletes: deletes.to_vec(),
-    })
 }
 
 /// Convenience: is this error the server saying "deadline exceeded"?
@@ -445,17 +432,33 @@ pub struct RetryStats {
     pub hints_honored: u64,
 }
 
-type Connector = Box<dyn FnMut() -> Result<Box<dyn Transport + Send>, NetError> + Send>;
+type BoxedTransport = Box<dyn Transport + Send>;
+type Connector = Box<dyn FnMut() -> Result<BoxedTransport, NetError> + Send>;
+
+/// A failed attempt, and whether resending its request is safe.
+struct Failure {
+    error: NetError,
+    resendable: bool,
+}
+
+impl From<NetError> for Failure {
+    fn from(error: NetError) -> Self {
+        Self {
+            error,
+            resendable: true,
+        }
+    }
+}
 
 /// A [`Client`] wrapped in a [`RetryPolicy`]: reconnects through a
 /// caller-supplied connector, classifies failures via [`is_retryable`],
 /// sleeps the policy's jittered backoff (stretched to any server
-/// retry-after hint), and tags COUNT queries with request IDs so
-/// ambiguous failures are safe to resend.
+/// retry-after hint), and tags COUNT and UPDATE requests with request IDs
+/// so ambiguous failures are safe to resend.
 pub struct RetryingClient {
     connector: Connector,
     policy: RetryPolicy,
-    transport: Option<Box<dyn Transport + Send>>,
+    client: Option<Client<BoxedTransport>>,
     id_rng: SplitMix64,
     stats: RetryStats,
 }
@@ -471,7 +474,7 @@ impl RetryingClient {
         Self {
             connector: Box::new(connector),
             policy,
-            transport: None,
+            client: None,
             // Offset the ID stream from the jitter stream so the two
             // deterministic sequences never correlate.
             id_rng: SplitMix64::new(policy.seed ^ 0x1D0_C0DE),
@@ -484,7 +487,7 @@ impl RetryingClient {
         Self::new(
             move || {
                 let transport = TcpTransport::connect(addr)?;
-                Ok(Box::new(transport) as Box<dyn Transport + Send>)
+                Ok(Box::new(transport) as BoxedTransport)
             },
             policy,
         )
@@ -504,7 +507,7 @@ impl RetryingClient {
     /// the connector. Lets failover logic force a re-route without
     /// waiting for the dead socket to fail an exchange.
     pub fn disconnect(&mut self) {
-        self.transport = None;
+        self.client = None;
     }
 
     /// Counts embeddings of `pattern` with default options, retrying per
@@ -524,24 +527,7 @@ impl RetryingClient {
         if options.request_id == 0 {
             options.request_id = self.next_request_id();
         }
-        let request = CountRequest {
-            no_iep: options.no_iep,
-            hub_bitsets: options.hub_bitsets,
-            deadline_ms: options.deadline_ms,
-            request_id: options.request_id,
-            min_generation: options.min_generation,
-            mode: options.mode,
-            pattern: pattern.canonical_bytes(),
-        };
-        let frame = Frame::new(op::COUNT, request.encode());
-        let response = self.exchange_with_retries(&frame, op::COUNT_OK)?;
-        let ok = CountOk::decode(&response.payload)
-            .ok_or(NetError::Protocol("undecodable COUNT_OK payload"))?;
-        Ok(RemoteCount {
-            count: ok.count,
-            elapsed: Duration::from_micros(ok.elapsed_micros),
-            ext: ok.ext,
-        })
+        self.with_retries(|client| Ok(client.count_with(pattern, options)?))
     }
 
     /// Enumerates up to `limit` embeddings with default options, with
@@ -567,121 +553,16 @@ impl RetryingClient {
         limit: u64,
         options: RemoteEnumerateOptions,
     ) -> Result<RemoteEnumeration, NetError> {
-        let started = Instant::now();
-        let deadline = self.policy.overall_deadline.map(|limit| started + limit);
-        let schedule = self.policy.backoff_schedule();
-        let mut last_error = NetError::Closed;
-        for attempt in 0..self.policy.max_attempts.max(1) {
-            if attempt > 0 {
-                self.stats.retries += 1;
+        self.with_retries(|client| {
+            let mut result = RemoteEnumeration::default();
+            match client.enumerate_into(pattern, limit, options, &mut result) {
+                Ok(()) => Ok(result),
+                Err(error) => Err(Failure {
+                    error,
+                    resendable: result.pages == 0,
+                }),
             }
-            self.stats.attempts += 1;
-            match self.try_enumerate_once(pattern, limit, options, deadline) {
-                Ok(result) => return Ok(result),
-                Err((error, pages_received)) => {
-                    // The stream is in an unknown state after any failure;
-                    // always reconnect before the next attempt.
-                    self.transport = None;
-                    if pages_received > 0 || !is_retryable(&error) {
-                        return Err(error);
-                    }
-                    let wait = schedule
-                        .get(attempt as usize)
-                        .copied()
-                        .unwrap_or(Duration::ZERO);
-                    last_error = error;
-                    if attempt + 1 >= self.policy.max_attempts.max(1) {
-                        break;
-                    }
-                    if let Some(deadline) = deadline {
-                        if Instant::now() + wait >= deadline {
-                            return Err(last_error);
-                        }
-                    }
-                    if !wait.is_zero() {
-                        std::thread::sleep(wait);
-                    }
-                }
-            }
-        }
-        Err(last_error)
-    }
-
-    /// One enumeration attempt; on failure, reports how many pages had
-    /// already arrived (the retry-safety signal).
-    fn try_enumerate_once(
-        &mut self,
-        pattern: &Pattern,
-        limit: u64,
-        options: RemoteEnumerateOptions,
-        deadline: Option<Instant>,
-    ) -> Result<RemoteEnumeration, (NetError, u64)> {
-        if let Some(deadline) = deadline {
-            if Instant::now() >= deadline {
-                return Err((NetError::Idle, 0));
-            }
-        }
-        if self.transport.is_none() {
-            self.stats.connects += 1;
-            self.transport = Some((self.connector)().map_err(|e| (e, 0))?);
-        }
-        let transport = self.transport.as_mut().expect("connected above");
-        let mut timeout = self.policy.attempt_timeout;
-        if let Some(deadline) = deadline {
-            let left = deadline.saturating_duration_since(Instant::now());
-            timeout = Some(
-                timeout
-                    .map_or(left, |t| t.min(left))
-                    .max(Duration::from_millis(1)),
-            );
-        }
-        transport.set_recv_timeout(timeout).map_err(|e| (e, 0))?;
-        let request = EnumerateRequest {
-            hub_bitsets: options.hub_bitsets,
-            deadline_ms: options.deadline_ms,
-            limit,
-            page_size: options.page_size,
-            pattern: pattern.canonical_bytes(),
-        };
-        transport
-            .send(&Frame::new(op::ENUMERATE, request.encode()))
-            .map_err(|e| (e, 0))?;
-        let mut result = RemoteEnumeration {
-            embeddings: Vec::new(),
-            pages: 0,
-        };
-        loop {
-            let frame = transport.recv().map_err(|e| (e, result.pages))?;
-            if frame.opcode == op::ERROR {
-                let error = WireError::decode(&frame.payload)
-                    .ok_or(NetError::Protocol("undecodable error payload"))
-                    .map_err(|e| (e, result.pages))?;
-                return Err((error.into_net_error(), result.pages));
-            }
-            if frame.opcode != op::ENUM_PAGE {
-                return Err((
-                    NetError::Protocol("response opcode does not match the request"),
-                    result.pages,
-                ));
-            }
-            let page = EnumPage::decode(&frame.payload).ok_or((
-                NetError::Protocol("undecodable ENUM_PAGE payload"),
-                result.pages,
-            ))?;
-            if usize::from(page.pattern_size) != pattern.num_vertices() {
-                return Err((
-                    NetError::Protocol("page pattern size does not match the request"),
-                    result.pages,
-                ));
-            }
-            result.pages += 1;
-            result
-                .embeddings
-                .extend(page.embeddings().map(<[u32]>::to_vec));
-            if page.last {
-                return Ok(result);
-            }
-        }
+        })
     }
 
     /// Commits one edge batch, retrying per the policy. Every attempt
@@ -708,26 +589,18 @@ impl RetryingClient {
         if options.request_id == 0 {
             options.request_id = self.next_request_id();
         }
-        let request = encode_update(inserts, deletes, options)?;
-        let frame = Frame::new(op::UPDATE, request.encode());
-        let response = self.exchange_with_retries(&frame, op::UPDATE_OK)?;
-        UpdateOk::decode(&response.payload)
-            .ok_or(NetError::Protocol("undecodable UPDATE_OK payload"))
+        self.with_retries(|client| Ok(client.update_with(inserts, deletes, options)?))
     }
 
     /// Fetches the server's counter snapshot, retrying per the policy
     /// (STATS is naturally idempotent — no request ID needed).
     pub fn stats_remote(&mut self) -> Result<StatsOk, NetError> {
-        let response = self.exchange_with_retries(&Frame::new(op::STATS, vec![]), op::STATS_OK)?;
-        StatsOk::decode(&response.payload).ok_or(NetError::Protocol("undecodable STATS_OK payload"))
+        self.with_retries(|client| Ok(client.stats()?))
     }
 
     /// Probes server readiness, retrying per the policy.
     pub fn health(&mut self) -> Result<HealthOk, NetError> {
-        let response =
-            self.exchange_with_retries(&Frame::new(op::HEALTH, vec![]), op::HEALTH_OK)?;
-        HealthOk::decode(&response.payload)
-            .ok_or(NetError::Protocol("undecodable HEALTH_OK payload"))
+        self.with_retries(|client| Ok(client.health()?))
     }
 
     fn next_request_id(&mut self) -> u64 {
@@ -739,92 +612,23 @@ impl RetryingClient {
         }
     }
 
-    /// One logical request: up to `max_attempts` wire exchanges, with
-    /// reconnects, backoff, hint-stretched sleeps, and deadline
-    /// enforcement between them.
-    fn exchange_with_retries(&mut self, request: &Frame, expect: u8) -> Result<Frame, NetError> {
-        let started = Instant::now();
-        let deadline = self.policy.overall_deadline.map(|limit| started + limit);
-        let schedule = self.policy.backoff_schedule();
-        let mut last_error = NetError::Closed;
-        for attempt in 0..self.policy.max_attempts.max(1) {
-            if attempt > 0 {
-                self.stats.retries += 1;
-            }
-            self.stats.attempts += 1;
-            match self.try_once(request, expect, deadline) {
-                Ok(response) => return Ok(response),
-                Err(error) => {
-                    if !is_retryable(&error) {
-                        return Err(error);
-                    }
-                    // A retryable *remote* error arrived on a live
-                    // connection; everything else leaves the stream in
-                    // an unknown state, so reconnect.
-                    let keep_connection = matches!(
-                        error,
-                        NetError::Remote {
-                            code: ErrorCode::RetryLater,
-                            ..
-                        }
-                    );
-                    if !keep_connection {
-                        self.transport = None;
-                    }
-                    let mut wait = schedule
-                        .get(attempt as usize)
-                        .copied()
-                        .unwrap_or(Duration::ZERO);
-                    if let NetError::Remote {
-                        retry_after_ms: Some(hint_ms),
-                        ..
-                    } = error
-                    {
-                        let hint = Duration::from_millis(u64::from(hint_ms));
-                        if hint > wait {
-                            wait = hint;
-                            self.stats.hints_honored += 1;
-                        }
-                    }
-                    last_error = error;
-                    if attempt + 1 >= self.policy.max_attempts.max(1) {
-                        break;
-                    }
-                    if let Some(deadline) = deadline {
-                        let now = Instant::now();
-                        if now + wait >= deadline {
-                            return Err(last_error);
-                        }
-                    }
-                    if !wait.is_zero() {
-                        std::thread::sleep(wait);
-                    }
-                }
-            }
-        }
-        Err(last_error)
-    }
-
-    /// One wire attempt: (re)connect if needed, bound the read, send,
-    /// receive, surface typed errors.
-    fn try_once(
+    /// The live connection for the next attempt: dialed if there is none,
+    /// with its reply wait bounded by the tighter of the per-attempt
+    /// timeout and the time left on the overall deadline.
+    fn connected(
         &mut self,
-        request: &Frame,
-        expect: u8,
         deadline: Option<Instant>,
-    ) -> Result<Frame, NetError> {
-        if let Some(deadline) = deadline {
-            if Instant::now() >= deadline {
-                return Err(NetError::Idle);
+    ) -> Result<&mut Client<BoxedTransport>, NetError> {
+        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            return Err(NetError::Idle);
+        }
+        let client = match &mut self.client {
+            Some(client) => client,
+            slot => {
+                self.stats.connects += 1;
+                slot.insert(Client::new((self.connector)()?))
             }
-        }
-        if self.transport.is_none() {
-            self.stats.connects += 1;
-            self.transport = Some((self.connector)()?);
-        }
-        let transport = self.transport.as_mut().expect("connected above");
-        // Bound this attempt by the tighter of the per-attempt timeout
-        // and the time left on the overall deadline.
+        };
         let mut timeout = self.policy.attempt_timeout;
         if let Some(deadline) = deadline {
             let left = deadline.saturating_duration_since(Instant::now());
@@ -834,20 +638,68 @@ impl RetryingClient {
                     .max(Duration::from_millis(1)),
             );
         }
-        transport.set_recv_timeout(timeout)?;
-        transport.send(request)?;
-        let response = transport.recv()?;
-        if response.opcode == op::ERROR {
-            let error = WireError::decode(&response.payload)
-                .ok_or(NetError::Protocol("undecodable error payload"))?;
-            return Err(error.into_net_error());
+        client.transport.set_recv_timeout(timeout)?;
+        Ok(client)
+    }
+
+    /// One logical request: up to `max_attempts` runs of `attempt`, with
+    /// reconnects, backoff, hint-stretched sleeps, and deadline
+    /// enforcement between them.
+    fn with_retries<R>(
+        &mut self,
+        mut attempt: impl FnMut(&mut Client<BoxedTransport>) -> Result<R, Failure>,
+    ) -> Result<R, NetError> {
+        let deadline = self
+            .policy
+            .overall_deadline
+            .map(|limit| Instant::now() + limit);
+        let schedule = self.policy.backoff_schedule();
+        let max_attempts = self.policy.max_attempts.max(1) as usize;
+        let mut tries = 0;
+        loop {
+            tries += 1;
+            if tries > 1 {
+                self.stats.retries += 1;
+            }
+            self.stats.attempts += 1;
+            let outcome = match self.connected(deadline) {
+                Ok(client) => attempt(client),
+                Err(error) => Err(error.into()),
+            };
+            let Failure { error, resendable } = match outcome {
+                Ok(reply) => return Ok(reply),
+                Err(failure) => failure,
+            };
+            // A typed error frame leaves the stream in sync, unless the
+            // server closes the connection after it; anything else leaves
+            // the stream in an unknown state, so reconnect.
+            let in_sync = matches!(&error, NetError::Remote { code, .. }
+                if *code == ErrorCode::RetryLater || !code.is_retryable());
+            if !in_sync {
+                self.client = None;
+            }
+            if !resendable || !is_retryable(&error) {
+                return Err(error);
+            }
+            let mut wait = schedule.get(tries - 1).copied().unwrap_or(Duration::ZERO);
+            if let NetError::Remote {
+                retry_after_ms: Some(hint_ms),
+                ..
+            } = error
+            {
+                let hint = Duration::from_millis(u64::from(hint_ms));
+                if hint > wait {
+                    wait = hint;
+                    self.stats.hints_honored += 1;
+                }
+            }
+            if tries >= max_attempts || deadline.is_some_and(|d| Instant::now() + wait >= d) {
+                return Err(error);
+            }
+            if !wait.is_zero() {
+                std::thread::sleep(wait);
+            }
         }
-        if response.opcode != expect {
-            return Err(NetError::Protocol(
-                "response opcode does not match the request",
-            ));
-        }
-        Ok(response)
     }
 }
 

@@ -7,10 +7,13 @@
 //! offset  size  field
 //! 0       4     length  u32 LE: number of bytes that follow (4 + payload)
 //! 4       2     magic   "GP"
-//! 6       1     version 0x01
+//! 6       1     version 0x02 (see [`VERSION`])
 //! 7       1     opcode  see [`op`]
 //! 8       len-4 payload opcode-specific (see the codec structs below)
 //! ```
+//!
+//! There is one protocol version: a frame whose version byte is not
+//! [`VERSION`] is refused with [`NetError::UnsupportedVersion`].
 //!
 //! The length prefix covers the magic/version/opcode header, so
 //! `length >= 4` always, and is capped at [`MAX_FRAME_LEN`] — a reader can
@@ -34,17 +37,10 @@ use std::time::Duration;
 /// First two payload bytes of every frame.
 pub const MAGIC: [u8; 2] = *b"GP";
 
-/// Current protocol version. Version 2 adds the `HEALTH` opcode, the
-/// `RETRY_LATER` error code (with a retry-after hint), and optional
-/// client-generated request IDs on `COUNT`. Servers accept every version
-/// in [`MIN_VERSION`]`..=`[`VERSION`] — the version byte of each request
-/// frame is echoed in its reply, so a v1 client keeps speaking v1 — and
-/// refuse anything else with [`ErrorCode::UnsupportedVersion`], closing
-/// the connection.
+/// The protocol version, the only one spoken. A frame carrying any other
+/// version byte is refused with [`ErrorCode::UnsupportedVersion`] and the
+/// connection closes.
 pub const VERSION: u8 = 2;
-
-/// Oldest protocol version still served (see [`VERSION`]).
-pub const MIN_VERSION: u8 = 1;
 
 /// Bytes of header covered by the length prefix (magic + version + opcode).
 pub const HEADER_LEN: usize = 4;
@@ -66,26 +62,25 @@ pub mod op {
     pub const PING: u8 = 0x03;
     /// Ask the server to drain and exit (empty payload).
     pub const SHUTDOWN: u8 = 0x04;
-    /// Readiness probe for load balancers and supervisors (empty payload;
-    /// protocol v2).
+    /// Readiness probe for load balancers and supervisors (empty payload).
     pub const HEALTH: u8 = 0x05;
     /// Apply a batch of edge insertions/deletions
-    /// ([`super::UpdateRequest`] payload; protocol v2). Static servers
+    /// ([`super::UpdateRequest`] payload). Static servers
     /// answer [`super::ErrorCode::ReadOnly`].
     pub const UPDATE: u8 = 0x06;
     /// Subscribe to the primary's WAL stream from a cursor
-    /// ([`super::ReplSubscribe`] payload; protocol v2). Only durable
+    /// ([`super::ReplSubscribe`] payload). Only durable
     /// (`--wal`) primaries accept it; the connection then alternates
     /// [`REPL_BATCH`] / [`REPL_ACK`] until either side closes.
     pub const REPL_SUBSCRIBE: u8 = 0x07;
     /// Replica's durable-cursor acknowledgement ([`super::ReplAck`]
-    /// payload; protocol v2). Solicits the next [`REPL_BATCH`].
+    /// payload). Solicits the next [`REPL_BATCH`].
     pub const REPL_ACK: u8 = 0x08;
     /// Ask a replica to stop following its primary and serve writes
-    /// (empty payload; protocol v2). Idempotent on a primary.
+    /// (empty payload). Idempotent on a primary.
     pub const PROMOTE: u8 = 0x09;
     /// Enumerate embeddings of a pattern ([`super::EnumerateRequest`]
-    /// payload; protocol v2). Answered by a stream of [`ENUM_PAGE`]
+    /// payload). Answered by a stream of [`ENUM_PAGE`]
     /// frames. Enumeration is **not** idempotent and never enters the
     /// completed-request ledger: a retry after an ambiguous failure may
     /// re-run the query and observe a different page split (or, with a
@@ -106,12 +101,12 @@ pub mod op {
     pub const PONG: u8 = 0x83;
     /// Shutdown acknowledged; the server is now draining.
     pub const SHUTDOWN_OK: u8 = 0x84;
-    /// Health reply ([`super::HealthOk`] payload; protocol v2).
+    /// Health reply ([`super::HealthOk`] payload).
     pub const HEALTH_OK: u8 = 0x85;
-    /// Update applied ([`super::UpdateOk`] payload; protocol v2).
+    /// Update applied ([`super::UpdateOk`] payload).
     pub const UPDATE_OK: u8 = 0x86;
     /// One page of an enumeration's result stream ([`super::EnumPage`]
-    /// payload; protocol v2). The last page carries a flag; the stream is
+    /// payload). The last page carries a flag; the stream is
     /// `ENUM_PAGE*` terminated by a flagged page (or an [`ERROR`] frame,
     /// after which no further pages follow).
     pub const ENUM_PAGE: u8 = 0x8A;
@@ -152,22 +147,21 @@ pub enum ErrorCode {
     /// The server is at its connection limit. Connection closes.
     TooManyConnections,
     /// The admission wait queue is full: the server is shedding load
-    /// instead of queueing unboundedly (protocol v2). The error carries a
+    /// instead of queueing unboundedly. The error carries a
     /// retry-after hint derived from the server's latency histogram.
     /// Connection stays open.
     RetryLater,
     /// An [`op::UPDATE`] reached a server whose graph is immutable (no
-    /// `--wal`). Deterministic rejection; connection stays open
-    /// (protocol v2).
+    /// `--wal`). Deterministic rejection; connection stays open.
     ReadOnly,
     /// A write (or replication subscribe) reached a read replica. The
     /// error message carries the primary's address when the replica knows
     /// it (possibly empty). Deterministic until a failover changes roles;
-    /// connection stays open (protocol v2).
+    /// connection stays open.
     NotPrimary,
     /// A well-formed request carried an argument value the server rejects
     /// (enumeration limit of zero, sample rate outside `(0, 1]`).
-    /// Deterministic rejection; connection stays open (protocol v2).
+    /// Deterministic rejection; connection stays open.
     InvalidArgument,
     /// A code this build does not know (forward compatibility).
     Other(u8),
@@ -280,7 +274,7 @@ pub enum NetError {
         /// Human-readable detail from the server.
         message: String,
         /// Server-suggested wait before retrying (carried by
-        /// [`ErrorCode::RetryLater`] in protocol v2).
+        /// [`ErrorCode::RetryLater`]).
         retry_after_ms: Option<u32>,
     },
 }
@@ -327,10 +321,6 @@ impl From<std::io::Error> for NetError {
 /// the connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// The protocol version byte. Frames built with [`Frame::new`] carry
-    /// the current [`VERSION`]; servers echo the version of each request
-    /// frame in its reply so down-version clients stay served.
-    pub version: u8,
     /// The opcode byte (see [`op`]).
     pub opcode: u8,
     /// The opcode-specific payload.
@@ -338,19 +328,9 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Builds a current-version frame from an opcode and payload.
+    /// Builds a frame from an opcode and payload.
     pub fn new(opcode: u8, payload: Vec<u8>) -> Self {
-        Self::with_version(VERSION, opcode, payload)
-    }
-
-    /// Builds a frame with an explicit version byte (reply echoing,
-    /// down-version compatibility tests).
-    pub fn with_version(version: u8, opcode: u8, payload: Vec<u8>) -> Self {
-        Self {
-            version,
-            opcode,
-            payload,
-        }
+        Self { opcode, payload }
     }
 
     /// An [`op::ERROR`] frame carrying `code` and `message` (truncated to
@@ -359,24 +339,13 @@ impl Frame {
         Self::new(op::ERROR, WireError::new(code, message).encode())
     }
 
-    /// An [`op::ERROR`] frame with a retry-after hint (protocol v2; the
-    /// hint travels as a trailing field v1 decoders never see).
-    pub fn error_with_hint(code: ErrorCode, message: &str, retry_after_ms: u32) -> Self {
-        Self::new(
-            op::ERROR,
-            WireError::new(code, message)
-                .with_retry_after(retry_after_ms)
-                .encode(),
-        )
-    }
-
     /// Serialises the frame (length prefix + header + payload).
     pub fn encode(&self) -> Vec<u8> {
         let len = HEADER_LEN + self.payload.len();
         let mut out = Vec::with_capacity(4 + len);
         out.extend_from_slice(&(len as u32).to_le_bytes());
         out.extend_from_slice(&MAGIC);
-        out.push(self.version);
+        out.push(VERSION);
         out.push(self.opcode);
         out.extend_from_slice(&self.payload);
         out
@@ -436,11 +405,10 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<Frame, NetError> {
     if body[..2] != MAGIC {
         return Err(NetError::BadMagic);
     }
-    if !(MIN_VERSION..=VERSION).contains(&body[2]) {
+    if body[2] != VERSION {
         return Err(NetError::UnsupportedVersion(body[2]));
     }
     Ok(Frame {
-        version: body[2],
         opcode: body[3],
         payload: body[HEADER_LEN..].to_vec(),
     })
@@ -530,15 +498,15 @@ impl Transport for TcpTransport {
     }
 }
 
-/// What a [`op::COUNT`] request asks to be counted (protocol v2; the
-/// plain global count needs no mode bytes on the wire).
+/// What a [`op::COUNT`] request asks to be counted (the plain global
+/// count needs no mode bytes on the wire).
 ///
 /// Orbit and sample replies ride back in the [`CountOk`] mode extension;
 /// both execute on full-depth (IEP-free) plans server-side, so the
 /// `no_iep` request flag is irrelevant to them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueryMode {
-    /// The global embedding count (the v1 behavior).
+    /// The global embedding count.
     #[default]
     Count,
     /// Per-vertex (orbit) counts; the reply summarizes them (sum, support,
@@ -579,9 +547,8 @@ impl QueryMode {
 /// ```text
 /// offset  size  field          present
 /// 0       1     flags          always: bit0 = disable IEP, bit1 = hub
-///                              bitsets, bit2 = request ID (protocol v2),
-///                              bit3 = min generation (protocol v2),
-///                              bit4 = query mode (protocol v2)
+///                              bitsets, bit2 = request ID,
+///                              bit3 = min generation, bit4 = query mode
 /// 1       4     deadline_ms    always; u32 LE, 0 = no deadline
 /// 5       8     request_id     u64 LE, only when flag bit2 is set
 /// +0      8     min_generation u64 LE, only when flag bit3 is set
@@ -618,8 +585,8 @@ pub struct CountRequest {
     /// Lowest graph generation this count may be served from (0 = any;
     /// never sent on the wire as 0).
     pub min_generation: u64,
-    /// What to count ([`QueryMode::Count`] = the v1 global count; never
-    /// sent on the wire for plain counts, so v1 servers keep working).
+    /// What to count ([`QueryMode::Count`] = the global count, which
+    /// sends no mode bytes).
     pub mode: QueryMode,
     /// The pattern, as canonical bytes.
     pub pattern: Vec<u8>,
@@ -790,7 +757,7 @@ impl SampleSummary {
 /// The mode-specific tail of a [`CountOk`] reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CountExt {
-    /// A plain count: no extension bytes (the exact v1 reply).
+    /// A plain count: no extension bytes.
     #[default]
     None,
     /// Orbit summary (`mode` byte 1 + 28 payload bytes).
@@ -801,13 +768,12 @@ pub enum CountExt {
 
 /// [`op::COUNT_OK`] payload: the embedding count and the server-side
 /// execution time (`[u64 count][u64 elapsed_micros]`, LE), optionally
-/// followed by a mode extension (protocol v2):
+/// followed by a mode extension:
 /// `[u8 mode]` then, for orbit (mode 1),
 /// `[u64 sum][u64 nonzero][u64 max_count][u32 max_vertex]`, or for sample
 /// (mode 2), `[u64 estimate_bits][u64 stderr_bits][u64 sampled]`
-/// `[u64 total]`. Plain counts stay exactly 16 bytes, so v1 decoders are
-/// untouched — mode replies only ever answer mode requests, which v1
-/// clients cannot send.
+/// `[u64 total]`. Plain counts are exactly 16 bytes; mode replies only
+/// ever answer mode requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CountOk {
     /// Number of embeddings found. For orbit mode, the global count the
@@ -895,7 +861,7 @@ impl CountOk {
     }
 }
 
-/// [`op::ENUMERATE`] payload (protocol v2): enumerate up to `limit`
+/// [`op::ENUMERATE`] payload: enumerate up to `limit`
 /// embeddings, streamed back as [`op::ENUM_PAGE`] frames.
 ///
 /// ```text
@@ -974,7 +940,7 @@ pub fn max_embeddings_per_page(pattern_size: usize) -> usize {
     (MAX_FRAME_LEN - HEADER_LEN - 8) / (4 * pattern_size.max(1))
 }
 
-/// [`op::ENUM_PAGE`] payload (protocol v2): one page of an enumeration's
+/// [`op::ENUM_PAGE`] payload: one page of an enumeration's
 /// result stream.
 ///
 /// ```text
@@ -1073,7 +1039,7 @@ impl EnumPage {
 /// [`MAX_FRAME_LEN`]. Clients split bigger batches.
 pub const MAX_UPDATE_EDGES: usize = (MAX_FRAME_LEN - HEADER_LEN - 21) / 8;
 
-/// [`op::UPDATE`] payload (protocol v2): a batch of undirected edge
+/// [`op::UPDATE`] payload: a batch of undirected edge
 /// insertions and deletions, applied atomically — inserts first, then
 /// deletes; the reply carries the generation the batch produced.
 ///
@@ -1178,7 +1144,7 @@ impl UpdateRequest {
     }
 }
 
-/// [`op::UPDATE_OK`] payload (protocol v2): the generation the batch
+/// [`op::UPDATE_OK`] payload: the generation the batch
 /// produced plus what it actually changed
 /// (`[u64 generation][u32 inserted][u32 deleted]`, LE).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1215,9 +1181,8 @@ impl UpdateOk {
     }
 }
 
-/// Server readiness, as reported by the [`op::HEALTH`] opcode
-/// (protocol v2). Probes and load balancers branch on this without
-/// issuing a query.
+/// Server readiness, as reported by the [`op::HEALTH`] opcode. Probes
+/// and load balancers branch on this without issuing a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthState {
     /// Accepting and executing queries.
@@ -1307,11 +1272,9 @@ impl fmt::Display for ReplRole {
     }
 }
 
-/// [`op::HEALTH_OK`] payload:
+/// [`op::HEALTH_OK`] payload, exactly 14 bytes:
 /// `[u8 state][u32 retry_after_ms][u8 role][u64 replication_lag]` (LE).
-/// The retry-after hint is 0 when the server is ready. Pre-replication
-/// servers sent only the first five bytes; decoders accept both lengths,
-/// defaulting the missing fields to a caught-up primary.
+/// The retry-after hint is 0 when the server is ready.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthOk {
     /// The server's readiness state.
@@ -1336,37 +1299,17 @@ impl HealthOk {
         out
     }
 
-    /// Serialises for a peer speaking protocol `version`: v1 peers get
-    /// the original 5-byte layout (their decoders reject anything
-    /// longer), v2 peers the full 14 bytes.
-    pub fn encode_for(&self, version: u8) -> Vec<u8> {
-        let mut out = self.encode();
-        if version < 2 {
-            out.truncate(5);
-        }
-        out
-    }
-
-    /// Parses a payload; `None` unless it is exactly 5 bytes (the
-    /// pre-replication layout) or exactly 14, with known state and role
-    /// bytes.
+    /// Parses a payload; `None` unless it is exactly 14 bytes with known
+    /// state and role bytes.
     pub fn decode(payload: &[u8]) -> Option<Self> {
-        if payload.len() != 5 && payload.len() != 14 {
+        if payload.len() != 14 {
             return None;
         }
-        let (role, replication_lag) = if payload.len() == 14 {
-            (
-                ReplRole::from_code(payload[5])?,
-                u64::from_le_bytes(payload[6..14].try_into().ok()?),
-            )
-        } else {
-            (ReplRole::Primary, 0)
-        };
         Some(Self {
             state: HealthState::from_code(payload[0])?,
             retry_after_ms: u32::from_le_bytes(payload[1..5].try_into().ok()?),
-            role,
-            replication_lag,
+            role: ReplRole::from_code(payload[5])?,
+            replication_lag: u64::from_le_bytes(payload[6..14].try_into().ok()?),
         })
     }
 }
@@ -1450,9 +1393,21 @@ impl LatencyHistogram {
     }
 }
 
-/// [`op::STATS_OK`] payload: a full server counter snapshot. Fixed-size:
-/// seven `u32` gauges, eight `u64` counters, then the 32-bucket latency
-/// histogram (all LE).
+/// [`op::STATS_OK`] payload: a full server counter snapshot, exactly
+/// [`StatsOk::ENCODED_LEN`] bytes (all LE):
+///
+/// ```text
+/// 7 × u32   gauges: live_workers, max_in_flight, in_flight, queued,
+///           cache_len, cache_capacity, warm_started
+/// 8 × u64   counters: connections_total, queries_total,
+///           deadline_exceeded, protocol_errors, cache_hits,
+///           cache_misses, cache_evictions, overload_rejections
+/// 32 × u64  latency histogram buckets
+/// u64       replication_lag
+/// u8        repl_role, then 7 reserved zero bytes
+/// u64       enumerations_total
+/// u64       pages_sent
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsOk {
     /// Worker threads currently alive in the pool.
@@ -1486,42 +1441,28 @@ pub struct StatsOk {
     pub cache_misses: u64,
     /// Plan-cache evictions.
     pub cache_evictions: u64,
-    /// Count queries refused with [`ErrorCode::RetryLater`] because the
-    /// admission wait queue was full (protocol v2; this slot was the
-    /// always-zero `reserved` field in v1, so the layout is unchanged).
+    /// Requests refused with [`ErrorCode::RetryLater`] because the
+    /// admission wait queue was full.
     pub overload_rejections: u64,
     /// Per-query execution latency histogram.
     pub latency: LatencyHistogram,
     /// Generations this server trails its primary by (0 on a primary).
-    /// Rides in the v2 trailing extension (see [`StatsOk::encode_for`]).
     pub replication_lag: u64,
-    /// The server's replication role (v2 trailing extension).
+    /// The server's replication role.
     pub repl_role: ReplRole,
-    /// Enumeration streams started (second v2 trailing extension; rides
-    /// after the replication extension, same reserved-tail pattern).
+    /// Enumeration streams started.
     pub enumerations_total: u64,
-    /// Enumeration result pages sent across all streams (second v2
-    /// trailing extension).
+    /// Enumeration result pages sent across all streams.
     pub pages_sent: u64,
 }
 
 impl StatsOk {
-    const ENCODED_LEN: usize = 7 * 4 + 8 * 8 + HISTOGRAM_BUCKETS * 8;
-    /// Size of the v2 trailing extension: `[u64 replication_lag]`
-    /// `[u8 role][7 reserved zero bytes]`. The reserved bytes keep the
-    /// extension 8-byte aligned and leave room for the next field without
-    /// another length change.
-    const REPL_EXT_LEN: usize = 16;
-    /// Size of the second v2 trailing extension:
-    /// `[u64 enumerations_total][u64 pages_sent]`. Appended after the
-    /// replication extension; decoders that predate it simply stop at the
-    /// shorter accepted length.
-    const ENUM_EXT_LEN: usize = 16;
+    /// The payload's one legal length.
+    pub const ENCODED_LEN: usize = 7 * 4 + 8 * 8 + HISTOGRAM_BUCKETS * 8 + 32;
 
-    /// Serialises the payload in the v1 layout (no replication
-    /// extension) — what a v1 peer must receive.
+    /// Serialises the payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(Self::ENCODED_LEN + Self::REPL_EXT_LEN);
+        let mut out = Vec::with_capacity(Self::ENCODED_LEN);
         for gauge in [
             self.live_workers,
             self.max_in_flight,
@@ -1548,111 +1489,61 @@ impl StatsOk {
         for bucket in self.latency.buckets {
             out.extend_from_slice(&bucket.to_le_bytes());
         }
+        out.extend_from_slice(&self.replication_lag.to_le_bytes());
+        out.push(self.repl_role.code());
+        out.extend_from_slice(&[0u8; 7]);
+        out.extend_from_slice(&self.enumerations_total.to_le_bytes());
+        out.extend_from_slice(&self.pages_sent.to_le_bytes());
         out
     }
 
-    /// Serialises the payload for a peer speaking `version`: v2 peers get
-    /// the trailing replication and enumeration extensions (which their
-    /// decoders accept by length), v1 peers get the exact layout they
-    /// validate against.
-    pub fn encode_for(&self, version: u8) -> Vec<u8> {
-        let mut out = self.encode();
-        if version >= 2 {
-            out.extend_from_slice(&self.replication_lag.to_le_bytes());
-            out.push(self.repl_role.code());
-            out.extend_from_slice(&[0u8; 7]);
-            out.extend_from_slice(&self.enumerations_total.to_le_bytes());
-            out.extend_from_slice(&self.pages_sent.to_le_bytes());
-        }
-        out
-    }
-
-    /// Parses a payload; `None` unless it is exactly the v1 fixed size,
-    /// that plus the 16-byte replication extension (whose reserved bytes
-    /// must be zero), or that plus the 16-byte enumeration extension as
-    /// well — each historical length decodes with the newer fields
-    /// defaulted to zero.
+    /// Parses a payload; `None` unless it is exactly
+    /// [`StatsOk::ENCODED_LEN`] bytes with a known role byte and zero
+    /// reserved bytes.
     pub fn decode(payload: &[u8]) -> Option<Self> {
-        let (replication_lag, repl_role, enumerations_total, pages_sent) = if payload.len()
-            == Self::ENCODED_LEN + Self::REPL_EXT_LEN + Self::ENUM_EXT_LEN
-            || payload.len() == Self::ENCODED_LEN + Self::REPL_EXT_LEN
-        {
-            let ext = &payload[Self::ENCODED_LEN..];
-            if ext[9..Self::REPL_EXT_LEN].iter().any(|&b| b != 0) {
-                return None;
-            }
-            let (enumerations_total, pages_sent) = if ext.len() > Self::REPL_EXT_LEN {
-                let tail = &ext[Self::REPL_EXT_LEN..];
-                (
-                    u64::from_le_bytes(tail[..8].try_into().ok()?),
-                    u64::from_le_bytes(tail[8..16].try_into().ok()?),
-                )
-            } else {
-                (0, 0)
-            };
-            (
-                u64::from_le_bytes(ext[..8].try_into().ok()?),
-                ReplRole::from_code(ext[8])?,
-                enumerations_total,
-                pages_sent,
-            )
-        } else if payload.len() == Self::ENCODED_LEN {
-            (0, ReplRole::Primary, 0, 0)
-        } else {
+        // The 7 reserved bytes sit between the role byte and the two
+        // trailing enumeration counters.
+        let reserved = Self::ENCODED_LEN - 23..Self::ENCODED_LEN - 16;
+        if payload.len() != Self::ENCODED_LEN || payload[reserved].iter().any(|&b| b != 0) {
             return None;
-        };
-        let payload = &payload[..Self::ENCODED_LEN];
-        let mut pos = 0usize;
-        let mut next_u32 = || {
-            let v = u32::from_le_bytes(payload[pos..pos + 4].try_into().unwrap());
-            pos += 4;
-            v
-        };
-        let live_workers = next_u32();
-        let max_in_flight = next_u32();
-        let in_flight = next_u32();
-        let queued = next_u32();
-        let cache_len = next_u32();
-        let cache_capacity = next_u32();
-        let warm_started = next_u32();
-        let mut next_u64 = || {
-            let v = u64::from_le_bytes(payload[pos..pos + 8].try_into().unwrap());
-            pos += 8;
-            v
-        };
-        let connections_total = next_u64();
-        let queries_total = next_u64();
-        let deadline_exceeded = next_u64();
-        let protocol_errors = next_u64();
-        let cache_hits = next_u64();
-        let cache_misses = next_u64();
-        let cache_evictions = next_u64();
-        let overload_rejections = next_u64();
-        let mut latency = LatencyHistogram::default();
-        for bucket in latency.buckets.iter_mut() {
-            *bucket = next_u64();
         }
+        let mut pos = 0usize;
+        let mut take = |n: usize| {
+            pos += n;
+            &payload[pos - n..pos]
+        };
+        let le_u32 = |bytes: &[u8]| u32::from_le_bytes(bytes.try_into().expect("4-byte take"));
+        let le_u64 = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8-byte take"));
+        // Struct-literal fields evaluate in source order, which is the
+        // wire order.
         Some(Self {
-            live_workers,
-            max_in_flight,
-            in_flight,
-            queued,
-            cache_len,
-            cache_capacity,
-            warm_started,
-            connections_total,
-            queries_total,
-            deadline_exceeded,
-            protocol_errors,
-            cache_hits,
-            cache_misses,
-            cache_evictions,
-            overload_rejections,
-            latency,
-            replication_lag,
-            repl_role,
-            enumerations_total,
-            pages_sent,
+            live_workers: le_u32(take(4)),
+            max_in_flight: le_u32(take(4)),
+            in_flight: le_u32(take(4)),
+            queued: le_u32(take(4)),
+            cache_len: le_u32(take(4)),
+            cache_capacity: le_u32(take(4)),
+            warm_started: le_u32(take(4)),
+            connections_total: le_u64(take(8)),
+            queries_total: le_u64(take(8)),
+            deadline_exceeded: le_u64(take(8)),
+            protocol_errors: le_u64(take(8)),
+            cache_hits: le_u64(take(8)),
+            cache_misses: le_u64(take(8)),
+            cache_evictions: le_u64(take(8)),
+            overload_rejections: le_u64(take(8)),
+            latency: {
+                let mut latency = LatencyHistogram::default();
+                for bucket in &mut latency.buckets {
+                    *bucket = le_u64(take(8));
+                }
+                latency
+            },
+            replication_lag: le_u64(take(8)),
+            // The role byte, then the reserved bytes checked above.
+            repl_role: ReplRole::from_code(take(8)[0])?,
+            enumerations_total: le_u64(take(8)),
+            pages_sent: le_u64(take(8)),
         })
     }
 }
@@ -1862,16 +1753,14 @@ impl PromoteOk {
 }
 
 /// [`op::ERROR`] payload: `[u8 code][u16 msg_len][msg utf8]`, optionally
-/// followed by a 4-byte LE retry-after hint in milliseconds (protocol
-/// v2). v1 decoders reject trailing bytes, so servers only append the
-/// hint on v2 connections.
+/// followed by a 4-byte LE retry-after hint in milliseconds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {
     /// The typed error code.
     pub code: ErrorCode,
     /// Human-readable detail.
     pub message: String,
-    /// Suggested client backoff before retrying (v2 extension).
+    /// Suggested client backoff before retrying.
     pub retry_after_ms: Option<u32>,
 }
 
@@ -1913,7 +1802,7 @@ impl WireError {
     }
 
     /// Parses a payload; `None` on truncation, unexpected trailing bytes,
-    /// or non-UTF-8 text. Exactly four trailing bytes decode as the v2
+    /// or non-UTF-8 text. Exactly four trailing bytes decode as the
     /// retry-after hint.
     pub fn decode(payload: &[u8]) -> Option<Self> {
         if payload.len() < 3 {
@@ -2027,7 +1916,7 @@ mod tests {
             "unknown flags"
         );
 
-        // v2 request IDs round-trip and change the encoded length.
+        // Request IDs round-trip and change the encoded length.
         let tagged = CountRequest {
             request_id: 0xDEAD_BEEF_CAFE_F00D,
             ..req.clone()
@@ -2055,18 +1944,22 @@ mod tests {
         stats.latency.record(0);
         stats.latency.record(1);
         stats.latency.record(1500);
+        assert_eq!(stats.encode().len(), StatsOk::ENCODED_LEN);
         assert_eq!(StatsOk::decode(&stats.encode()).unwrap(), stats);
         assert!(StatsOk::decode(&stats.encode()[1..]).is_none());
+        let mut reserved = stats.encode();
+        reserved[StatsOk::ENCODED_LEN - 20] = 1;
+        assert!(StatsOk::decode(&reserved).is_none(), "reserved bytes");
 
         let err = WireError::new(ErrorCode::DeadlineExceeded, "too slow");
         assert_eq!(WireError::decode(&err.encode()).unwrap(), err);
         assert!(WireError::decode(&err.encode()[..2]).is_none());
-        // A single trailing byte is neither v1 nor a v2 hint.
+        // A single trailing byte is not a hint.
         let mut padded = err.encode();
         padded.push(0);
         assert!(WireError::decode(&padded).is_none());
 
-        // v2 retry-after hint rides as exactly four trailing bytes.
+        // The retry-after hint rides as exactly four trailing bytes.
         let hinted = WireError::new(ErrorCode::RetryLater, "busy").with_retry_after(250);
         assert_eq!(hinted.encode().len(), 3 + 4 + 4);
         let decoded = WireError::decode(&hinted.encode()).unwrap();
@@ -2088,15 +1981,17 @@ mod tests {
         let health = HealthOk {
             state: HealthState::Overloaded,
             retry_after_ms: 75,
-            role: ReplRole::Primary,
-            replication_lag: 0,
+            role: ReplRole::Replica,
+            replication_lag: 3,
         };
+        assert_eq!(health.encode().len(), 14);
         assert_eq!(HealthOk::decode(&health.encode()).unwrap(), health);
-        assert!(
-            HealthOk::decode(&[3, 0, 0, 0, 0]).is_none(),
-            "unknown state"
-        );
-        assert!(HealthOk::decode(&health.encode()[..4]).is_none());
+        let mut unknown_state = health.encode();
+        unknown_state[0] = 3;
+        assert!(HealthOk::decode(&unknown_state).is_none(), "unknown state");
+        // Only the one 14-byte layout parses.
+        assert!(HealthOk::decode(&health.encode()[..5]).is_none());
+        assert!(HealthOk::decode(&health.encode()[..13]).is_none());
         for state in [
             HealthState::Ready,
             HealthState::Draining,
@@ -2178,24 +2073,20 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_are_still_accepted() {
-        // A v1 peer's frame parses and remembers its version, so replies
-        // can echo it.
-        let frame = Frame::with_version(MIN_VERSION, op::PING, vec![]);
-        let decoded = read_frame(&mut Cursor::new(frame.encode())).unwrap();
-        assert_eq!(decoded.version, MIN_VERSION);
-        assert_eq!(decoded, frame);
-        // Versions outside MIN..=current are refused.
-        let future = Frame::with_version(VERSION + 1, op::PING, vec![]).encode();
-        assert!(matches!(
-            read_frame(&mut Cursor::new(future)),
-            Err(NetError::UnsupportedVersion(_))
-        ));
-        let ancient = Frame::with_version(0, op::PING, vec![]).encode();
-        assert!(matches!(
-            read_frame(&mut Cursor::new(ancient)),
-            Err(NetError::UnsupportedVersion(0))
-        ));
+    fn version_byte_1_is_refused() {
+        // Only the current version parses: the retired byte 1, anything
+        // older and anything newer are refused before the opcode is read.
+        for version in [0, 1, VERSION + 1, 0xFF] {
+            let mut frame = Frame::new(op::PING, vec![]).encode();
+            frame[6] = version;
+            assert!(matches!(
+                read_frame(&mut Cursor::new(frame)),
+                Err(NetError::UnsupportedVersion(v)) if v == version
+            ));
+        }
+        let current = Frame::new(op::PING, vec![]).encode();
+        assert_eq!(current[6], VERSION);
+        assert!(read_frame(&mut Cursor::new(current)).is_ok());
     }
 
     #[test]
@@ -2270,69 +2161,6 @@ mod tests {
         assert_eq!(ok.encode().len(), 8);
         assert_eq!(PromoteOk::decode(&ok.encode()), Some(ok));
         assert!(PromoteOk::decode(&[0; 7]).is_none());
-    }
-
-    #[test]
-    fn health_and_stats_encode_per_version() {
-        // A v2 health reply carries role + lag; encode_for(v1) truncates
-        // to the 5 bytes a v1 decoder insists on.
-        let health = HealthOk {
-            state: HealthState::Ready,
-            retry_after_ms: 0,
-            role: ReplRole::Replica,
-            replication_lag: 3,
-        };
-        assert_eq!(health.encode_for(MIN_VERSION).len(), 5);
-        assert_eq!(health.encode_for(VERSION).len(), 14);
-        let decoded = HealthOk::decode(&health.encode_for(VERSION)).unwrap();
-        assert_eq!(decoded, health);
-        let v1 = HealthOk::decode(&health.encode_for(MIN_VERSION)).unwrap();
-        assert_eq!(v1.state, HealthState::Ready);
-        // The 5-byte form decodes with the defaults a v1 server implies.
-        assert_eq!(v1.role, ReplRole::Primary);
-        assert_eq!(v1.replication_lag, 0);
-
-        let stats = StatsOk {
-            replication_lag: 4,
-            repl_role: ReplRole::Replica,
-            ..StatsOk::default()
-        };
-        let v2 = stats.encode_for(VERSION);
-        let v1 = stats.encode_for(MIN_VERSION);
-        assert_eq!(v2.len(), v1.len() + 32);
-        let decoded = StatsOk::decode(&v2).unwrap();
-        assert_eq!(decoded.replication_lag, 4);
-        assert_eq!(decoded.repl_role, ReplRole::Replica);
-        // A v1 payload decodes with the reserved-field defaults.
-        let decoded = StatsOk::decode(&v1).unwrap();
-        assert_eq!(decoded.replication_lag, 0);
-        assert_eq!(decoded.repl_role, ReplRole::Primary);
-    }
-
-    #[test]
-    fn stats_enumeration_tail_is_length_discriminated() {
-        let stats = StatsOk {
-            enumerations_total: 12,
-            pages_sent: 345,
-            replication_lag: 1,
-            repl_role: ReplRole::Replica,
-            ..StatsOk::default()
-        };
-        let v2 = stats.encode_for(VERSION);
-        let decoded = StatsOk::decode(&v2).unwrap();
-        assert_eq!(decoded, stats);
-        // A replication-era payload (one 16-byte extension) still decodes,
-        // with the enumeration counters defaulted.
-        let repl_only = &v2[..v2.len() - 16];
-        let decoded = StatsOk::decode(repl_only).unwrap();
-        assert_eq!(decoded.replication_lag, 1);
-        assert_eq!(decoded.enumerations_total, 0);
-        assert_eq!(decoded.pages_sent, 0);
-        // Any other length is refused.
-        assert!(StatsOk::decode(&v2[..v2.len() - 8]).is_none());
-        let mut longer = v2.clone();
-        longer.push(0);
-        assert!(StatsOk::decode(&longer).is_none());
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! truncation) answer with a typed error frame and close that one
 //! connection, while content errors inside a well-formed frame (unknown
 //! opcode, bad payload, rejected pattern, expired deadline) answer and keep
-//! the connection open.
+//! the connection open. Request handlers never write error frames
+//! themselves: each returns its reply — a success frame or a typed
+//! refusal — and the connection loop sends it.
 //!
 //! Queries execute on the shared multi-tenant
 //! [`WorkerPool`] through an **admission
@@ -44,13 +46,15 @@ use crate::net::protocol::{
     max_embeddings_per_page, op, CountExt, CountOk, CountRequest, EnumPage, EnumerateRequest,
     ErrorCode, Frame, HealthOk, HealthState, LatencyHistogram, NetError, OrbitSummary, PromoteOk,
     QueryMode, ReplAck, ReplBatch, ReplPayload, ReplRole, ReplSubscribe, SampleSummary, StatsOk,
-    TcpTransport, Transport, UpdateOk, UpdateRequest, HISTOGRAM_BUCKETS, REPL_CHUNK_BYTES,
+    TcpTransport, Transport, UpdateOk, UpdateRequest, WireError, HISTOGRAM_BUCKETS,
+    REPL_CHUNK_BYTES,
 };
 use crate::persist;
 use graphpi_graph::delta::{DeltaError, EdgeBatch};
 use graphpi_graph::wal::{DurableError, ShipPoint, WalReader};
 use graphpi_pattern::Pattern;
 use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
@@ -330,15 +334,19 @@ impl Admission {
     }
 }
 
-/// FNV-1a over the request fields that determine the answer. Ledger
-/// entries only replay for the *same* logical query, so an id collision
-/// between two different clients can never serve the wrong count.
-fn request_fingerprint(request: &CountRequest) -> u64 {
+/// FNV-1a over the request fields that determine the answer, plus the
+/// serving `generation`. Ledger entries only replay for the *same*
+/// logical query on the *same* graph, so neither an ID collision between
+/// two clients nor an ID reused after a commit can serve a stale count.
+fn request_fingerprint(request: &CountRequest, generation: u64) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
     let mut eat = |byte: u8| {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(0x1000_0000_01B3);
     };
+    for byte in generation.to_le_bytes() {
+        eat(byte);
+    }
     eat(u8::from(request.no_iep));
     eat(u8::from(request.hub_bitsets));
     // The execution mode changes the answer, so orbit/sample replies can
@@ -753,7 +761,7 @@ impl Server {
     }
 
     /// Serves a [`DynamicEngine`] until drained: counts pin the current
-    /// generation per query, and the v2 `UPDATE` opcode commits edge
+    /// generation per query, and the `UPDATE` opcode commits edge
     /// batches (durably, when the engine was opened with a WAL).
     pub fn serve_dynamic(self, engine: &DynamicEngine) -> Result<ServerReport, NetError> {
         self.serve_dynamic_with_repl(engine, ReplState::primary())
@@ -811,6 +819,14 @@ impl Server {
         };
         let admission = Admission::new(pool.max_in_flight(), max_waiting);
         let ledger = RequestLedger::new(LEDGER_CAPACITY);
+        let shared = Shared {
+            backend: &backend,
+            metrics: &metrics,
+            admission: &admission,
+            ledger: &ledger,
+            draining: &draining,
+            repl: &repl,
+        };
         let snapshots_written = AtomicU64::new(0);
         std::thread::scope(|scope| {
             // Crash safety: a background thread re-snapshots the plan
@@ -878,25 +894,14 @@ impl Server {
                             continue;
                         }
                         metrics.active_connections.fetch_add(1, Ordering::Relaxed);
-                        let backend = &backend;
-                        let metrics = &metrics;
-                        let admission = &admission;
-                        let ledger = &ledger;
-                        let draining = &draining;
-                        let repl = &repl;
+                        let shared = &shared;
                         let read_timeout = options.read_timeout;
                         scope.spawn(move || {
-                            handle_connection(
-                                stream,
-                                backend,
-                                metrics,
-                                admission,
-                                ledger,
-                                draining,
-                                repl,
-                                read_timeout,
-                            );
-                            metrics.active_connections.fetch_sub(1, Ordering::Relaxed);
+                            handle_connection(stream, shared, read_timeout);
+                            shared
+                                .metrics
+                                .active_connections
+                                .fetch_sub(1, Ordering::Relaxed);
                         });
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
@@ -924,24 +929,115 @@ impl Server {
     }
 }
 
+/// Everything a connection handler shares with the rest of the server.
+struct Shared<'s> {
+    backend: &'s ServeBackend<'s>,
+    metrics: &'s Metrics,
+    admission: &'s Admission,
+    ledger: &'s RequestLedger,
+    draining: &'s AtomicBool,
+    repl: &'s ReplState,
+}
+
+/// Why a request got no success reply.
+enum Refusal {
+    /// Answer with this typed error frame.
+    Error(WireError),
+    /// The connection failed mid-reply; close it without another frame.
+    Broken,
+}
+
+impl From<NetError> for Refusal {
+    fn from(_: NetError) -> Self {
+        Refusal::Broken
+    }
+}
+
+/// A handler's answer: the success frame, or why there is none.
+type Reply = Result<Frame, Refusal>;
+
+/// A typed refusal without a retry-after hint.
+fn refuse(code: ErrorCode, message: &str) -> Refusal {
+    Refusal::Error(WireError::new(code, message))
+}
+
+impl Shared<'_> {
+    /// A content error inside a well-formed frame: counted as a protocol
+    /// error and answered with `code`; the connection stays open.
+    fn malformed(&self, code: ErrorCode, message: &str) -> Refusal {
+        self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        refuse(code, message)
+    }
+
+    /// Decodes a request's pattern bytes.
+    fn pattern(&self, bytes: &[u8]) -> Result<Pattern, Refusal> {
+        Pattern::from_canonical_bytes(bytes).ok_or_else(|| {
+            self.malformed(
+                ErrorCode::BadPayload,
+                "pattern bytes are not a valid canonical pattern",
+            )
+        })
+    }
+
+    /// Queues for an admission permit, which the caller must `release()`
+    /// after executing. On expiry the work is cancelled having consumed no
+    /// pool slot and no worker time; a full wait queue sheds it at once
+    /// with a typed `RETRY_LATER` and a hint. `skipped` names what did not
+    /// happen, for the refusal message.
+    fn admit(&self, deadline: Option<Instant>, skipped: &str) -> Result<(), Refusal> {
+        match self.admission.acquire_until(deadline) {
+            Admit::Admitted => Ok(()),
+            Admit::DeadlineExpired => {
+                self.metrics
+                    .deadline_exceeded
+                    .fetch_add(1, Ordering::Relaxed);
+                Err(refuse(
+                    ErrorCode::DeadlineExceeded,
+                    &format!("deadline expired while queued; {skipped}"),
+                ))
+            }
+            Admit::Overloaded => {
+                self.metrics
+                    .overload_rejections
+                    .fetch_add(1, Ordering::Relaxed);
+                let error = WireError::new(
+                    ErrorCode::RetryLater,
+                    &format!("admission queue is full; {skipped}"),
+                );
+                Err(Refusal::Error(
+                    error.with_retry_after(retry_after_hint_ms(self.metrics)),
+                ))
+            }
+        }
+    }
+
+    /// Ends a replication stream when the server drains or stops being
+    /// the primary.
+    fn check_still_shipping(&self) -> Result<(), Refusal> {
+        if self.draining.load(Ordering::Acquire) {
+            return Err(refuse(
+                ErrorCode::ShuttingDown,
+                "server is draining; resubscribe later",
+            ));
+        }
+        if self.repl.role() != ReplRole::Primary {
+            return Err(refuse(ErrorCode::NotPrimary, &self.repl.primary_addr()));
+        }
+        Ok(())
+    }
+}
+
+/// The absolute deadline for a request's relative `deadline_ms` (0 = none).
+fn deadline_after(deadline_ms: u32) -> Option<Instant> {
+    (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(u64::from(deadline_ms)))
+}
+
 /// Speaks the protocol with one client until EOF, a framing error, or
-/// drain. Never panics outward and never takes the server down.
-///
-/// Version negotiation is per-frame: each reply echoes the request's
-/// version byte, so a v1 client talks v1 end to end (and never sees
-/// v2-only payload extensions like retry-after hints) while a v2 client
-/// on the same server gets the full protocol.
-#[allow(clippy::too_many_arguments)]
-fn handle_connection(
-    stream: TcpStream,
-    backend: &ServeBackend<'_>,
-    metrics: &Metrics,
-    admission: &Admission,
-    ledger: &RequestLedger,
-    draining: &AtomicBool,
-    repl: &ReplState,
-    read_timeout: Duration,
-) {
+/// drain. Never panics outward and never takes the server down. Every
+/// reply, success or typed error, is sent from this one loop; only the
+/// frames before a stream's last (enumeration pages, replication
+/// batches) are sent by their handlers.
+fn handle_connection(stream: TcpStream, shared: &Shared<'_>, read_timeout: Duration) {
     // The read timeout is the handler's poll granularity: an idle wait
     // wakes up this often to notice a drain. Zero would mean non-blocking
     // reads (a busy loop), so it is clamped away.
@@ -953,129 +1049,72 @@ fn handle_connection(
     stream.set_read_timeout(Some(timeout)).ok();
     let mut transport = TcpTransport::new(stream);
     loop {
-        if draining.load(Ordering::Acquire) {
-            let _ = transport.send(&Frame::error(
+        let (reply, keep_alive) = if shared.draining.load(Ordering::Acquire) {
+            let error = refuse(
                 ErrorCode::ShuttingDown,
                 "server is draining; reconnect later",
-            ));
-            return;
-        }
-        let frame = match transport.recv() {
-            Ok(frame) => frame,
-            Err(NetError::Idle) => continue,
-            Err(NetError::Closed) => return,
-            Err(error) => {
-                // Framing is broken: answer with the matching typed code
-                // (best-effort — the peer may already be gone) and drop
-                // this one connection.
-                metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let code = match &error {
-                    NetError::UnsupportedVersion(_) => ErrorCode::UnsupportedVersion,
-                    NetError::FrameTooLarge(_) => ErrorCode::FrameTooLarge,
-                    _ => ErrorCode::BadFrame,
-                };
-                let _ = transport.send(&Frame::error(code, &error.to_string()));
-                return;
+            );
+            (Err(error), false)
+        } else {
+            match transport.recv() {
+                Ok(frame) => dispatch(&mut transport, frame, shared),
+                Err(NetError::Idle) => continue,
+                Err(NetError::Closed) => return,
+                Err(error) => {
+                    // Framing is broken: answer with the matching typed
+                    // code (best-effort — the peer may already be gone)
+                    // and drop this one connection.
+                    let code = match &error {
+                        NetError::UnsupportedVersion(_) => ErrorCode::UnsupportedVersion,
+                        NetError::FrameTooLarge(_) => ErrorCode::FrameTooLarge,
+                        _ => ErrorCode::BadFrame,
+                    };
+                    (Err(shared.malformed(code, &error.to_string())), false)
+                }
             }
         };
-        let peer = frame.version;
-        let keep_alive = match frame.opcode {
-            op::PING => transport
-                .send(&Frame::with_version(peer, op::PONG, frame.payload))
-                .is_ok(),
-            op::STATS => {
-                let reply = stats_frame(peer, backend, metrics, admission, repl);
-                transport.send(&reply).is_ok()
-            }
-            op::HEALTH => {
-                let reply = health_frame(peer, backend, metrics, admission, draining, repl);
-                transport.send(&reply).is_ok()
-            }
-            op::COUNT => handle_count(
-                &mut transport,
-                peer,
-                &frame.payload,
-                backend,
-                metrics,
-                admission,
-                ledger,
-            ),
-            // ENUMERATE is a v2 opcode: the paged reply stream does not
-            // exist in protocol v1.
-            op::ENUMERATE if peer >= 2 => handle_enumerate(
-                &mut transport,
-                peer,
-                &frame.payload,
-                backend,
-                metrics,
-                admission,
-            ),
-            // UPDATE is a v2 opcode: a v1 peer sending it gets the same
-            // UnknownOpcode a v1 server would have answered, so mixed
-            // fleets fail loudly instead of half-applying.
-            op::UPDATE if peer >= 2 => handle_update(
-                &mut transport,
-                peer,
-                &frame.payload,
-                backend,
-                metrics,
-                admission,
-                ledger,
-                repl,
-            ),
-            // Subscribing hands the whole connection over to the
-            // replication stream; it never returns to request/response
-            // framing, so the handler closes it when shipping ends.
-            op::REPL_SUBSCRIBE if peer >= 2 => {
-                handle_replication(
-                    &mut transport,
-                    peer,
-                    &frame.payload,
-                    backend,
-                    repl,
-                    metrics,
-                    draining,
-                );
-                false
-            }
-            op::PROMOTE if peer >= 2 => {
-                handle_promote(&mut transport, peer, &frame.payload, backend, repl, metrics)
-            }
-            op::SHUTDOWN => {
-                draining.store(true, Ordering::Release);
-                let _ = transport.send(&Frame::with_version(peer, op::SHUTDOWN_OK, vec![]));
-                false
-            }
-            other => {
-                metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                transport
-                    .send(&error_frame(
-                        peer,
-                        ErrorCode::UnknownOpcode,
-                        &format!(
-                            "opcode {other:#04x} is not part of protocol v{}",
-                            super::protocol::VERSION
-                        ),
-                        None,
-                    ))
-                    .is_ok()
-            }
+        let sent = match reply {
+            Ok(frame) => transport.send(&frame),
+            Err(Refusal::Error(error)) => transport.send(&Frame::new(op::ERROR, error.encode())),
+            Err(Refusal::Broken) => return,
         };
-        if !keep_alive {
+        if sent.is_err() || !keep_alive {
             return;
         }
     }
 }
 
-/// Builds an error reply for a peer speaking protocol `version`. The
-/// retry-after hint is a v2 payload extension, so it is dropped (not
-/// mis-encoded) for v1 peers.
-fn error_frame(version: u8, code: ErrorCode, message: &str, retry_after_ms: Option<u32>) -> Frame {
-    let frame = match retry_after_ms {
-        Some(ms) if version >= 2 => Frame::error_with_hint(code, message, ms),
-        _ => Frame::error(code, message),
-    };
-    Frame::with_version(version, frame.opcode, frame.payload)
+/// Routes one well-formed request frame to its handler. Returns the reply
+/// and whether the connection stays open after it.
+fn dispatch(transport: &mut TcpTransport, frame: Frame, shared: &Shared<'_>) -> (Reply, bool) {
+    let payload = frame.payload.as_slice();
+    match frame.opcode {
+        op::PING => (Ok(Frame::new(op::PONG, frame.payload)), true),
+        op::STATS => (Ok(stats_frame(shared)), true),
+        op::HEALTH => (Ok(health_frame(shared)), true),
+        op::COUNT => (handle_count(payload, shared), true),
+        op::ENUMERATE => (handle_enumerate(transport, payload, shared), true),
+        op::UPDATE => (handle_update(payload, shared), true),
+        // Subscribing hands the whole connection over to the replication
+        // stream; it never returns to request/response framing, so the
+        // connection closes once the stream ends.
+        op::REPL_SUBSCRIBE => (Err(handle_replication(transport, payload, shared)), false),
+        op::PROMOTE => (handle_promote(payload, shared), true),
+        op::SHUTDOWN => {
+            shared.draining.store(true, Ordering::Release);
+            (Ok(Frame::new(op::SHUTDOWN_OK, vec![])), false)
+        }
+        other => {
+            let message = format!(
+                "opcode {other:#04x} is not part of protocol v{}",
+                super::protocol::VERSION
+            );
+            (
+                Err(shared.malformed(ErrorCode::UnknownOpcode, &message)),
+                true,
+            )
+        }
+    }
 }
 
 /// The retry-after hint for shed queries: the observed median execution
@@ -1090,157 +1129,71 @@ fn retry_after_hint_ms(metrics: &Metrics) -> u32 {
     (median_us / 1000).clamp(1, 5_000) as u32
 }
 
-/// Runs one `COUNT` request end to end. Returns whether the connection
-/// stays open (false only when the reply could not be sent).
-#[allow(clippy::too_many_arguments)]
-fn handle_count(
-    transport: &mut TcpTransport,
-    peer: u8,
-    payload: &[u8],
-    backend: &ServeBackend<'_>,
-    metrics: &Metrics,
-    admission: &Admission,
-    ledger: &RequestLedger,
-) -> bool {
-    let request = match CountRequest::decode(payload) {
-        Some(request) => request,
-        None => {
-            metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::BadPayload,
-                    "count payload must be [flags u8][deadline_ms u32][id u64?][pattern bytes]",
-                    None,
-                ))
-                .is_ok();
-        }
-    };
-    // Idempotent retry: a request ID we have already answered replays
-    // the recorded reply — no admission, no execution, no double count.
-    let fingerprint = request_fingerprint(&request);
+/// Runs one `COUNT` request end to end.
+fn handle_count(payload: &[u8], shared: &Shared<'_>) -> Reply {
+    let request = CountRequest::decode(payload).ok_or_else(|| {
+        shared.malformed(
+            ErrorCode::BadPayload,
+            "count payload must be [flags u8][deadline_ms u32][id u64?][pattern bytes]",
+        )
+    })?;
+    // Idempotent retry: a request ID we have already answered at this
+    // generation replays the recorded reply — no admission, no execution,
+    // no double count. A retry landing after a commit re-executes.
+    let fingerprint = request_fingerprint(&request, shared.backend.generation());
     if request.request_id != 0 {
-        if let Some(LedgerReply::Count(recorded)) = ledger.lookup(request.request_id, fingerprint) {
-            return transport
-                .send(&Frame::with_version(peer, op::COUNT_OK, recorded.encode()))
-                .is_ok();
+        if let Some(LedgerReply::Count(recorded)) =
+            shared.ledger.lookup(request.request_id, fingerprint)
+        {
+            return Ok(Frame::new(op::COUNT_OK, recorded.encode()));
         }
     }
-    let pattern = match Pattern::from_canonical_bytes(&request.pattern) {
-        Some(pattern) => pattern,
-        None => {
-            metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::BadPayload,
-                    "pattern bytes are not a valid canonical pattern",
-                    None,
-                ))
-                .is_ok();
-        }
-    };
-    // Execution modes are a v2 feature: the mode-extended reply would not
-    // parse on a v1 peer, so a v1 frame carrying a mode is refused.
-    if peer < 2 && request.mode != QueryMode::Count {
-        metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        return transport
-            .send(&error_frame(
-                peer,
-                ErrorCode::BadPayload,
-                "execution modes (orbit/sample) require protocol v2",
-                None,
-            ))
-            .is_ok();
-    }
+    let pattern = shared.pattern(&request.pattern)?;
     // A nonsensical sample rate is a content error in a well-formed
     // frame: typed reply, connection stays open, nothing executes.
     if let Some(rate) = request.mode.sample_rate() {
         if !rate.is_finite() || rate <= 0.0 {
-            metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::InvalidArgument,
-                    "sample rate must be a finite value in (0, 1]",
-                    None,
-                ))
-                .is_ok();
+            return Err(shared.malformed(
+                ErrorCode::InvalidArgument,
+                "sample rate must be a finite value in (0, 1]",
+            ));
         }
     }
-    let deadline = (request.deadline_ms > 0)
-        .then(|| Instant::now() + Duration::from_millis(u64::from(request.deadline_ms)));
+    let deadline = deadline_after(request.deadline_ms);
 
-    // Read-your-writes: a v2 client may set a generation floor. Small
+    // Read-your-writes: a client may set a generation floor. Small
     // replication lag is absorbed by waiting briefly (before admission,
     // so the wait burns no pool slot); past the wait budget the client
     // is told RETRY_LATER — retrying another replica beats pinning a
     // handler thread here.
     if request.min_generation > 0 {
-        let Some(engine) = backend.dynamic() else {
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::BadPayload,
-                    "a generation floor needs a dynamic server; this graph is immutable",
-                    None,
-                ))
-                .is_ok();
-        };
+        let engine = shared.backend.dynamic().ok_or_else(|| {
+            refuse(
+                ErrorCode::BadPayload,
+                "a generation floor needs a dynamic server; this graph is immutable",
+            )
+        })?;
         let wait_until = {
             let cap = Instant::now() + MIN_GENERATION_WAIT;
             deadline.map_or(cap, |d| d.min(cap))
         };
         while engine.generation() < request.min_generation {
             if Instant::now() >= wait_until {
-                let current = engine.generation();
-                return transport
-                    .send(&error_frame(
-                        peer,
-                        ErrorCode::RetryLater,
-                        &format!(
-                            "graph is at generation {current}, below the requested floor {}",
-                            request.min_generation
-                        ),
-                        Some(MIN_GENERATION_WAIT.as_millis() as u32),
-                    ))
-                    .is_ok();
+                let message = format!(
+                    "graph is at generation {}, below the requested floor {}",
+                    engine.generation(),
+                    request.min_generation
+                );
+                let error = WireError::new(ErrorCode::RetryLater, &message)
+                    .with_retry_after(MIN_GENERATION_WAIT.as_millis() as u32);
+                return Err(Refusal::Error(error));
             }
             std::thread::sleep(MIN_GENERATION_POLL);
         }
     }
 
-    // Queue for admission. On expiry the query is cancelled having
-    // consumed no pool slot and no worker time; a full wait queue sheds
-    // the query immediately with a typed RETRY_LATER and a hint.
-    match admission.acquire_until(deadline) {
-        Admit::Admitted => {}
-        Admit::DeadlineExpired => {
-            metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::DeadlineExceeded,
-                    "deadline expired while queued; the query was not executed",
-                    None,
-                ))
-                .is_ok();
-        }
-        Admit::Overloaded => {
-            metrics.overload_rejections.fetch_add(1, Ordering::Relaxed);
-            let hint = retry_after_hint_ms(metrics);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::RetryLater,
-                    "admission queue is full; the query was not executed",
-                    Some(hint),
-                ))
-                .is_ok();
-        }
-    }
-
-    metrics.queries_total.fetch_add(1, Ordering::Relaxed);
+    shared.admit(deadline, "the query was not executed")?;
+    shared.metrics.queries_total.fetch_add(1, Ordering::Relaxed);
     let count_options = CountOptions {
         use_iep: !request.no_iep,
         hub_bitsets: request.hub_bitsets,
@@ -1248,54 +1201,56 @@ fn handle_count(
     };
     let start = Instant::now();
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        backend.count_mode(&pattern, count_options, request.mode)
+        shared
+            .backend
+            .count_mode(&pattern, count_options, request.mode)
     }));
     let elapsed = start.elapsed();
-    admission.release();
+    shared.admission.release();
 
-    let reply = match outcome {
-        Err(_) => error_frame(
-            peer,
-            ErrorCode::Internal,
-            "query panicked; the worker pool isolated it",
-            None,
-        ),
-        Ok(Err(engine_error)) => error_frame(
-            peer,
-            ErrorCode::PatternRejected,
-            &engine_error.to_string(),
-            None,
-        ),
-        Ok(Ok((count, ext))) => {
-            let micros = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-            metrics.record_latency(micros);
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                error_frame(
-                    peer,
-                    ErrorCode::DeadlineExceeded,
-                    "query completed after its deadline",
-                    None,
-                )
-            } else {
-                let ok = CountOk {
-                    count,
-                    elapsed_micros: micros,
-                    ext,
-                };
-                if request.request_id != 0 {
-                    ledger.record(request.request_id, fingerprint, LedgerReply::Count(ok));
-                }
-                Frame::with_version(peer, op::COUNT_OK, ok.encode())
-            }
+    let (count, ext) = match outcome {
+        Err(_) => {
+            return Err(refuse(
+                ErrorCode::Internal,
+                "query panicked; the worker pool isolated it",
+            ))
         }
+        Ok(Err(engine_error)) => {
+            return Err(refuse(
+                ErrorCode::PatternRejected,
+                &engine_error.to_string(),
+            ))
+        }
+        Ok(Ok(result)) => result,
     };
-    transport.send(&reply).is_ok()
+    let micros = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+    shared.metrics.record_latency(micros);
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        shared
+            .metrics
+            .deadline_exceeded
+            .fetch_add(1, Ordering::Relaxed);
+        return Err(refuse(
+            ErrorCode::DeadlineExceeded,
+            "query completed after its deadline",
+        ));
+    }
+    let ok = CountOk {
+        count,
+        elapsed_micros: micros,
+        ext,
+    };
+    if request.request_id != 0 {
+        shared
+            .ledger
+            .record(request.request_id, fingerprint, LedgerReply::Count(ok));
+    }
+    Ok(Frame::new(op::COUNT_OK, ok.encode()))
 }
 
 /// Runs one `ENUMERATE` request end to end: decode, admit, enumerate up
-/// to the limit, then stream the embeddings as `ENUM_PAGE` frames.
-/// Returns whether the connection stays open.
+/// to the limit, then stream the embeddings as `ENUM_PAGE` frames. Every
+/// page but the last is sent here; the last is the returned reply.
 ///
 /// The admission permit covers only the matching itself — page streaming
 /// is network-bound and must not hold a pool slot hostage to a slow
@@ -1310,103 +1265,45 @@ fn handle_count(
 /// failure could interleave two streams, and a truncated-limit re-run may
 /// legitimately return different embeddings. Clients resume by issuing a
 /// fresh request.
-fn handle_enumerate(
-    transport: &mut TcpTransport,
-    peer: u8,
-    payload: &[u8],
-    backend: &ServeBackend<'_>,
-    metrics: &Metrics,
-    admission: &Admission,
-) -> bool {
-    let request = match EnumerateRequest::decode(payload) {
-        Some(request) => request,
-        None => {
-            metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::BadPayload,
-                    "enumerate payload must be [flags u8][deadline_ms u32][limit u64]\
-                     [page_size u32][pattern bytes] with a nonzero limit",
-                    None,
-                ))
-                .is_ok();
-        }
-    };
-    let pattern = match Pattern::from_canonical_bytes(&request.pattern) {
-        Some(pattern) => pattern,
-        None => {
-            metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::BadPayload,
-                    "pattern bytes are not a valid canonical pattern",
-                    None,
-                ))
-                .is_ok();
-        }
-    };
-    let deadline = (request.deadline_ms > 0)
-        .then(|| Instant::now() + Duration::from_millis(u64::from(request.deadline_ms)));
+fn handle_enumerate(transport: &mut TcpTransport, payload: &[u8], shared: &Shared<'_>) -> Reply {
+    let request = EnumerateRequest::decode(payload).ok_or_else(|| {
+        shared.malformed(
+            ErrorCode::BadPayload,
+            "enumerate payload must be [flags u8][deadline_ms u32][limit u64]\
+             [page_size u32][pattern bytes] with a nonzero limit",
+        )
+    })?;
+    let pattern = shared.pattern(&request.pattern)?;
+    let deadline = deadline_after(request.deadline_ms);
 
-    match admission.acquire_until(deadline) {
-        Admit::Admitted => {}
-        Admit::DeadlineExpired => {
-            metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::DeadlineExceeded,
-                    "deadline expired while queued; the enumeration was not executed",
-                    None,
-                ))
-                .is_ok();
-        }
-        Admit::Overloaded => {
-            metrics.overload_rejections.fetch_add(1, Ordering::Relaxed);
-            let hint = retry_after_hint_ms(metrics);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::RetryLater,
-                    "admission queue is full; the enumeration was not executed",
-                    Some(hint),
-                ))
-                .is_ok();
-        }
-    }
-
-    metrics.enumerations_total.fetch_add(1, Ordering::Relaxed);
+    shared.admit(deadline, "the enumeration was not executed")?;
+    shared
+        .metrics
+        .enumerations_total
+        .fetch_add(1, Ordering::Relaxed);
     let count_options = CountOptions {
         hub_bitsets: request.hub_bitsets,
         ..CountOptions::default()
     };
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        backend.enumerate_with(&pattern, request.limit, count_options)
+        shared
+            .backend
+            .enumerate_with(&pattern, request.limit, count_options)
     }));
-    admission.release();
+    shared.admission.release();
 
     let embeddings = match outcome {
         Err(_) => {
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::Internal,
-                    "enumeration panicked; the worker pool isolated it",
-                    None,
-                ))
-                .is_ok();
+            return Err(refuse(
+                ErrorCode::Internal,
+                "enumeration panicked; the worker pool isolated it",
+            ))
         }
         Ok(Err(engine_error)) => {
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::PatternRejected,
-                    &engine_error.to_string(),
-                    None,
-                ))
-                .is_ok();
+            return Err(refuse(
+                ErrorCode::PatternRejected,
+                &engine_error.to_string(),
+            ))
         }
         Ok(Ok(embeddings)) => embeddings,
     };
@@ -1420,141 +1317,82 @@ fn handle_enumerate(
         requested => (requested as usize).min(cap),
     };
     let total_pages = embeddings.len().div_ceil(per_page).max(1);
-    for page_index in 0..total_pages {
-        if page_index > 0 && deadline.is_some_and(|d| Instant::now() >= d) {
-            metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::DeadlineExceeded,
-                    "deadline expired mid-stream; remaining pages dropped",
-                    None,
-                ))
-                .is_ok();
-        }
+    let mut page_index = 0;
+    loop {
         let start = page_index * per_page;
         let end = (start + per_page).min(embeddings.len());
-        let mut vertices = Vec::with_capacity((end - start) * k);
-        for embedding in &embeddings[start..end] {
-            vertices.extend_from_slice(embedding);
-        }
         let page = EnumPage {
             last: page_index + 1 == total_pages,
             pattern_size: k as u8,
-            vertices,
+            vertices: embeddings[start..end].concat(),
         };
-        if transport
-            .send(&Frame::with_version(peer, op::ENUM_PAGE, page.encode()))
-            .is_err()
-        {
-            return false;
+        let frame = Frame::new(op::ENUM_PAGE, page.encode());
+        shared.metrics.pages_sent.fetch_add(1, Ordering::Relaxed);
+        if page.last {
+            return Ok(frame);
         }
-        metrics.pages_sent.fetch_add(1, Ordering::Relaxed);
+        transport.send(&frame)?;
+        page_index += 1;
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            shared
+                .metrics
+                .deadline_exceeded
+                .fetch_add(1, Ordering::Relaxed);
+            return Err(refuse(
+                ErrorCode::DeadlineExceeded,
+                "deadline expired mid-stream; remaining pages dropped",
+            ));
+        }
     }
-    true
 }
 
 /// Runs one `UPDATE` request end to end: decode, replay-check the
 /// ledger, admit, commit through the dynamic engine, answer with the
-/// applied generation. Returns whether the connection stays open.
+/// applied generation.
 ///
 /// Updates are **not naturally idempotent** — recommitting a batch that
 /// already applied would burn a generation and, for delete-then-insert
 /// mixes, can change the graph — so the ledger matters more here than
 /// for counts: a retry carrying a known request ID is answered with the
-/// originally applied generation without touching the graph or the WAL.
-#[allow(clippy::too_many_arguments)]
-fn handle_update(
-    transport: &mut TcpTransport,
-    peer: u8,
-    payload: &[u8],
-    backend: &ServeBackend<'_>,
-    metrics: &Metrics,
-    admission: &Admission,
-    ledger: &RequestLedger,
-    repl: &ReplState,
-) -> bool {
+/// originally applied generation without touching the graph or the WAL,
+/// whatever has committed since.
+fn handle_update(payload: &[u8], shared: &Shared<'_>) -> Reply {
     // A replica never commits client batches locally — the message field
     // carries the primary's address (possibly empty) so a
     // failover-aware client can re-route the write.
-    if repl.role() != ReplRole::Primary {
-        return transport
-            .send(&error_frame(
-                peer,
-                ErrorCode::NotPrimary,
-                &repl.primary_addr(),
-                None,
-            ))
-            .is_ok();
+    if shared.repl.role() != ReplRole::Primary {
+        return Err(refuse(ErrorCode::NotPrimary, &shared.repl.primary_addr()));
     }
-    let Some(engine) = backend.dynamic() else {
-        return transport
-            .send(&error_frame(
-                peer,
-                ErrorCode::ReadOnly,
-                "this server serves an immutable graph; restart it with --wal to accept updates",
-                None,
-            ))
-            .is_ok();
-    };
-    let request = match UpdateRequest::decode(payload) {
-        Some(request) => request,
-        None => {
-            metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::BadPayload,
-                    "update payload must be [flags u8][deadline_ms u32][id u64?]\
-                     [n_ins u32][n_del u32][edge pairs]",
-                    None,
-                ))
-                .is_ok();
-        }
-    };
+    let engine = shared.backend.dynamic().ok_or_else(|| {
+        refuse(
+            ErrorCode::ReadOnly,
+            "this server serves an immutable graph; restart it with --wal to accept updates",
+        )
+    })?;
+    let request = UpdateRequest::decode(payload).ok_or_else(|| {
+        shared.malformed(
+            ErrorCode::BadPayload,
+            "update payload must be [flags u8][deadline_ms u32][id u64?]\
+             [n_ins u32][n_del u32][edge pairs]",
+        )
+    })?;
     let fingerprint = update_fingerprint(&request);
     if request.request_id != 0 {
-        if let Some(LedgerReply::Update(recorded)) = ledger.lookup(request.request_id, fingerprint)
+        if let Some(LedgerReply::Update(recorded)) =
+            shared.ledger.lookup(request.request_id, fingerprint)
         {
-            return transport
-                .send(&Frame::with_version(peer, op::UPDATE_OK, recorded.encode()))
-                .is_ok();
+            return Ok(Frame::new(op::UPDATE_OK, recorded.encode()));
         }
     }
-    let deadline = (request.deadline_ms > 0)
-        .then(|| Instant::now() + Duration::from_millis(u64::from(request.deadline_ms)));
 
     // Updates queue at the same admission gate as counts, so a client
     // flooding commits is shed (or deadline-cancelled) exactly like a
     // client flooding queries — commit order itself is serialised inside
     // the engine.
-    match admission.acquire_until(deadline) {
-        Admit::Admitted => {}
-        Admit::DeadlineExpired => {
-            metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::DeadlineExceeded,
-                    "deadline expired while queued; the update was not applied",
-                    None,
-                ))
-                .is_ok();
-        }
-        Admit::Overloaded => {
-            metrics.overload_rejections.fetch_add(1, Ordering::Relaxed);
-            let hint = retry_after_hint_ms(metrics);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::RetryLater,
-                    "admission queue is full; the update was not applied",
-                    Some(hint),
-                ))
-                .is_ok();
-        }
-    }
-
+    shared.admit(
+        deadline_after(request.deadline_ms),
+        "the update was not applied",
+    )?;
     let mut batch = EdgeBatch::new();
     for &(a, b) in &request.inserts {
         batch.insert(a, b);
@@ -1563,95 +1401,94 @@ fn handle_update(
         batch.delete(a, b);
     }
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| engine.apply(&batch)));
-    admission.release();
+    shared.admission.release();
 
-    let reply = match outcome {
-        Err(_) => error_frame(
-            peer,
-            ErrorCode::Internal,
-            "update panicked; the graph was not modified",
-            None,
-        ),
+    let report = match outcome {
+        Err(_) => {
+            return Err(refuse(
+                ErrorCode::Internal,
+                "update panicked; the graph was not modified",
+            ))
+        }
         // Validation failures (vertex beyond the growth limit) reject the
         // whole batch before anything is logged or applied.
         Ok(Err(DurableError::Delta(DeltaError::VertexOutOfRange { vertex, limit }))) => {
-            error_frame(
-                peer,
+            return Err(refuse(
                 ErrorCode::BadPayload,
                 &format!("vertex {vertex} exceeds the growth limit {limit}; batch rejected"),
-                None,
-            )
+            ))
         }
         // A WAL append/fsync failure means durability cannot be promised;
         // the batch was not applied in memory either.
-        Ok(Err(wal_error)) => error_frame(
-            peer,
-            ErrorCode::Internal,
-            &format!("write-ahead log failure: {wal_error}"),
-            None,
-        ),
-        Ok(Ok(report)) => {
-            metrics.updates_total.fetch_add(1, Ordering::Relaxed);
-            let ok = UpdateOk {
-                generation: report.generation,
-                inserted: report.inserted,
-                deleted: report.deleted,
-            };
-            if request.request_id != 0 {
-                ledger.record(request.request_id, fingerprint, LedgerReply::Update(ok));
-            }
-            Frame::with_version(peer, op::UPDATE_OK, ok.encode())
+        Ok(Err(wal_error)) => {
+            return Err(refuse(
+                ErrorCode::Internal,
+                &format!("write-ahead log failure: {wal_error}"),
+            ))
         }
+        Ok(Ok(report)) => report,
     };
-    transport.send(&reply).is_ok()
+    shared.metrics.updates_total.fetch_add(1, Ordering::Relaxed);
+    let ok = UpdateOk {
+        generation: report.generation,
+        inserted: report.inserted,
+        deleted: report.deleted,
+    };
+    if request.request_id != 0 {
+        shared
+            .ledger
+            .record(request.request_id, fingerprint, LedgerReply::Update(ok));
+    }
+    Ok(Frame::new(op::UPDATE_OK, ok.encode()))
 }
 
 /// Dispatches a `REPL_SUBSCRIBE`: validates the subscription, then hands
-/// the connection over to [`serve_replication`].
+/// the connection over to [`serve_replication`]. Returns the refusal that
+/// ends the subscription.
 fn handle_replication(
     transport: &mut TcpTransport,
-    peer: u8,
     payload: &[u8],
-    backend: &ServeBackend<'_>,
-    repl: &ReplState,
-    metrics: &Metrics,
-    draining: &AtomicBool,
-) {
+    shared: &Shared<'_>,
+) -> Refusal {
     let Some(sub) = ReplSubscribe::decode(payload) else {
-        metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        let _ = transport.send(&error_frame(
-            peer,
+        return shared.malformed(
             ErrorCode::BadPayload,
             "subscribe payload must be [flags u8][generation u64][offset u64]",
-            None,
-        ));
-        return;
+        );
     };
-    let Some(engine) = backend.dynamic().filter(|engine| engine.is_durable()) else {
-        let _ = transport.send(&error_frame(
-            peer,
+    let Some(engine) = shared
+        .backend
+        .dynamic()
+        .filter(|engine| engine.is_durable())
+    else {
+        return refuse(
             ErrorCode::ReadOnly,
             "replication requires a durable (--wal) primary",
-            None,
-        ));
-        return;
+        );
     };
-    if repl.role() != ReplRole::Primary {
-        let _ = transport.send(&error_frame(
-            peer,
-            ErrorCode::NotPrimary,
-            &repl.primary_addr(),
-            None,
-        ));
-        return;
+    if shared.repl.role() != ReplRole::Primary {
+        return refuse(ErrorCode::NotPrimary, &shared.repl.primary_addr());
     }
-    repl.subscribers.fetch_add(1, Ordering::Relaxed);
-    let _ = serve_replication(transport, peer, sub, engine, repl, draining);
-    repl.subscribers.fetch_sub(1, Ordering::Relaxed);
+    shared.repl.subscribers.fetch_add(1, Ordering::Relaxed);
+    let end = match serve_replication(transport, sub, engine, shared) {
+        Ok(never) => match never {},
+        Err(end) => end,
+    };
+    shared.repl.subscribers.fetch_sub(1, Ordering::Relaxed);
+    end
+}
+
+/// The refusal for a WAL or checkpoint file the primary cannot read.
+fn unreadable(what: &str, error: impl std::fmt::Display) -> Refusal {
+    refuse(
+        ErrorCode::Internal,
+        &format!("primary {what} unreadable: {error}"),
+    )
 }
 
 /// Ships the primary's WAL to one subscribed replica until the peer goes
-/// away, the server drains, or this node stops being the primary.
+/// away, the server drains, or this node stops being the primary; only
+/// ever returns the refusal that ends the stream.
 ///
 /// The shipped unit is a **byte range of the log**, not a decoded
 /// record: the replica reassembles record frames with
@@ -1668,157 +1505,85 @@ fn handle_replication(
 /// from one epoch are never shipped under another epoch's offsets.
 fn serve_replication(
     transport: &mut TcpTransport,
-    peer: u8,
     sub: ReplSubscribe,
     engine: &DynamicEngine,
-    repl: &ReplState,
-    draining: &AtomicBool,
-) -> Result<(), NetError> {
+    shared: &Shared<'_>,
+) -> Result<Infallible, Refusal> {
     let wal_path = engine.wal_path().expect("durable engine has a WAL path");
     let mut cursor_gen = sub.generation;
     let mut offset_hint = sub.offset;
     'resolve: loop {
-        if draining.load(Ordering::Acquire) {
-            return transport.send(&error_frame(
-                peer,
-                ErrorCode::ShuttingDown,
-                "server is draining; resubscribe later",
-                None,
-            ));
-        }
-        if repl.role() != ReplRole::Primary {
-            return transport.send(&error_frame(
-                peer,
-                ErrorCode::NotPrimary,
-                &repl.primary_addr(),
-                None,
-            ));
-        }
+        shared.check_still_shipping()?;
         let epoch = engine.wal_epoch().unwrap_or(0);
-        let mut reader = match WalReader::open(&wal_path) {
-            Ok(reader) => reader,
-            Err(error) => {
-                if engine.wal_epoch() != Some(epoch) {
-                    continue 'resolve;
-                }
-                return transport.send(&error_frame(
-                    peer,
-                    ErrorCode::Internal,
-                    &format!("primary log unreadable: {error}"),
-                    None,
-                ));
-            }
-        };
-        let point = match reader.resolve_cursor(cursor_gen, offset_hint) {
-            Ok(point) => point,
-            Err(error) => {
-                // A reset mid-scan leaves the file momentarily at odds
-                // with the cursor; retry against the new epoch instead
-                // of failing the subscriber.
-                if engine.wal_epoch() != Some(epoch) {
-                    continue 'resolve;
-                }
-                return transport.send(&error_frame(
-                    peer,
-                    ErrorCode::Internal,
-                    &format!("primary log unreadable: {error}"),
-                    None,
-                ));
-            }
+        // A reset mid-open or mid-scan leaves the file momentarily at odds
+        // with the cursor; retry against the new epoch instead of failing
+        // the subscriber.
+        let point = match WalReader::open(&wal_path).and_then(|mut reader| {
+            let point = reader.resolve_cursor(cursor_gen, offset_hint)?;
+            Ok((reader, point))
+        }) {
+            Ok(resolved) => resolved,
+            Err(_) if engine.wal_epoch() != Some(epoch) => continue 'resolve,
+            Err(error) => return Err(unreadable("log", error)),
         };
         if engine.wal_epoch() != Some(epoch) {
             continue 'resolve;
         }
-        match point {
+        let (mut reader, point) = point;
+        let mut offset = match point {
             ShipPoint::NeedsCheckpoint => {
-                match ship_checkpoint(transport, peer, engine, draining)? {
-                    Some(generation) => {
-                        // Bootstrap complete: record shipping resumes at
-                        // the top of the reset log.
-                        cursor_gen = generation;
-                        offset_hint = 0;
-                        continue 'resolve;
-                    }
-                    // A newer checkpoint landed mid-stream; restart the
-                    // bootstrap (the replica resets its staging file on
-                    // the chunk whose start offset is zero).
-                    None => continue 'resolve,
+                // Bootstrap complete: record shipping resumes at the top
+                // of the reset log. A newer checkpoint landing mid-stream
+                // restarts the bootstrap instead (the replica resets its
+                // staging file on the chunk whose start offset is zero).
+                if let Some(generation) = ship_checkpoint(transport, engine, shared)? {
+                    cursor_gen = generation;
+                    offset_hint = 0;
                 }
+                continue 'resolve;
             }
-            ShipPoint::Records { mut offset } => loop {
-                if draining.load(Ordering::Acquire) {
-                    return transport.send(&error_frame(
-                        peer,
-                        ErrorCode::ShuttingDown,
-                        "server is draining; resubscribe later",
-                        None,
-                    ));
-                }
-                if repl.role() != ReplRole::Primary {
-                    return transport.send(&error_frame(
-                        peer,
-                        ErrorCode::NotPrimary,
-                        &repl.primary_addr(),
-                        None,
-                    ));
-                }
+            ShipPoint::Records { offset } => offset,
+        };
+        loop {
+            shared.check_still_shipping()?;
+            if engine.wal_epoch() != Some(epoch) {
+                offset_hint = 0;
+                continue 'resolve;
+            }
+            let end = engine.wal_len().unwrap_or(offset);
+            let horizon = engine.replication_horizon().unwrap_or(0);
+            let (bytes, next_offset) = if offset < end {
+                let want = usize::try_from(end - offset).map_or(REPL_CHUNK_BYTES, |remaining| {
+                    remaining.min(REPL_CHUNK_BYTES)
+                });
+                let read = reader.read_raw(offset, want);
+                // The bytes may straddle a reset; discard them.
                 if engine.wal_epoch() != Some(epoch) {
                     offset_hint = 0;
                     continue 'resolve;
                 }
-                let end = engine.wal_len().unwrap_or(offset);
-                let horizon = engine.replication_horizon().unwrap_or(0);
-                let batch = if offset < end {
-                    let want = usize::try_from(end - offset)
-                        .map_or(REPL_CHUNK_BYTES, |remaining| {
-                            remaining.min(REPL_CHUNK_BYTES)
-                        });
-                    let (bytes, next_offset) = match reader.read_raw(offset, want) {
-                        Ok(read) => read,
-                        Err(error) => {
-                            if engine.wal_epoch() != Some(epoch) {
-                                offset_hint = 0;
-                                continue 'resolve;
-                            }
-                            return transport.send(&error_frame(
-                                peer,
-                                ErrorCode::Internal,
-                                &format!("primary log unreadable: {error}"),
-                                None,
-                            ));
-                        }
-                    };
-                    if engine.wal_epoch() != Some(epoch) {
-                        // The bytes may straddle the reset; discard them.
-                        offset_hint = 0;
-                        continue 'resolve;
-                    }
-                    ReplBatch {
-                        payload: ReplPayload::Records,
-                        primary_generation: engine.generation(),
-                        generation: horizon,
-                        next_offset,
-                        bytes,
-                    }
-                } else {
-                    ReplBatch {
-                        payload: ReplPayload::Records,
-                        primary_generation: engine.generation(),
-                        generation: horizon,
-                        next_offset: offset,
-                        bytes: Vec::new(),
-                    }
-                };
-                let heartbeat = batch.bytes.is_empty();
-                transport.send(&Frame::with_version(peer, op::REPL_BATCH, batch.encode()))?;
-                let ack = recv_ack(transport, draining)?;
-                repl.note_shipment(engine.generation().saturating_sub(ack.generation));
-                cursor_gen = ack.generation;
-                offset = ack.offset;
-                if heartbeat {
-                    std::thread::sleep(REPL_HEARTBEAT_PAUSE);
-                }
-            },
+                read.map_err(|error| unreadable("log", error))?
+            } else {
+                (Vec::new(), offset)
+            };
+            let heartbeat = bytes.is_empty();
+            let batch = ReplBatch {
+                payload: ReplPayload::Records,
+                primary_generation: engine.generation(),
+                generation: horizon,
+                next_offset,
+                bytes,
+            };
+            transport.send(&Frame::new(op::REPL_BATCH, batch.encode()))?;
+            let ack = recv_ack(transport, shared.draining)?;
+            shared
+                .repl
+                .note_shipment(engine.generation().saturating_sub(ack.generation));
+            cursor_gen = ack.generation;
+            offset = ack.offset;
+            if heartbeat {
+                std::thread::sleep(REPL_HEARTBEAT_PAUSE);
+            }
         }
     }
 }
@@ -1836,50 +1601,21 @@ fn serve_replication(
 /// are internally consistent even while a rename replaces the file.
 fn ship_checkpoint(
     transport: &mut TcpTransport,
-    peer: u8,
     engine: &DynamicEngine,
-    draining: &AtomicBool,
-) -> Result<Option<u64>, NetError> {
+    shared: &Shared<'_>,
+) -> Result<Option<u64>, Refusal> {
     let path = engine
         .checkpoint_file()
         .expect("durable engine has a checkpoint path");
     let generation = engine.replication_horizon().unwrap_or(0);
-    let mut file = match std::fs::File::open(&path) {
-        Ok(file) => file,
-        Err(error) => {
-            transport.send(&error_frame(
-                peer,
-                ErrorCode::Internal,
-                &format!("primary checkpoint unreadable: {error}"),
-                None,
-            ))?;
-            return Err(NetError::Closed);
-        }
-    };
+    let mut file = std::fs::File::open(&path).map_err(|error| unreadable("checkpoint", error))?;
     let mut sent = 0u64;
     loop {
-        if draining.load(Ordering::Acquire) {
-            transport.send(&error_frame(
-                peer,
-                ErrorCode::ShuttingDown,
-                "server is draining; resubscribe later",
-                None,
-            ))?;
-            return Err(NetError::Closed);
-        }
+        shared.check_still_shipping()?;
         let mut chunk = vec![0u8; REPL_CHUNK_BYTES];
-        let n = match file.read(&mut chunk) {
-            Ok(n) => n,
-            Err(error) => {
-                transport.send(&error_frame(
-                    peer,
-                    ErrorCode::Internal,
-                    &format!("primary checkpoint unreadable: {error}"),
-                    None,
-                ))?;
-                return Err(NetError::Closed);
-            }
-        };
+        let n = file
+            .read(&mut chunk)
+            .map_err(|error| unreadable("checkpoint", error))?;
         if n == 0 {
             break;
         }
@@ -1892,8 +1628,8 @@ fn ship_checkpoint(
             next_offset: sent,
             bytes: chunk,
         };
-        transport.send(&Frame::with_version(peer, op::REPL_BATCH, batch.encode()))?;
-        recv_ack(transport, draining)?;
+        transport.send(&Frame::new(op::REPL_BATCH, batch.encode()))?;
+        recv_ack(transport, shared.draining)?;
     }
     if engine.replication_horizon() != Some(generation) {
         return Ok(None);
@@ -1905,8 +1641,8 @@ fn ship_checkpoint(
         next_offset: sent,
         bytes: Vec::new(),
     };
-    transport.send(&Frame::with_version(peer, op::REPL_BATCH, done.encode()))?;
-    recv_ack(transport, draining)?;
+    transport.send(&Frame::new(op::REPL_BATCH, done.encode()))?;
+    recv_ack(transport, shared.draining)?;
     Ok(Some(generation))
 }
 
@@ -1936,49 +1672,27 @@ fn recv_ack(transport: &mut TcpTransport, draining: &AtomicBool) -> Result<ReplA
 
 /// Handles an explicit `PROMOTE`: idempotent on a primary; on a replica
 /// it requests promotion and waits for the apply loop to seal the
-/// stream and flip the role. Returns whether the connection stays open.
-fn handle_promote(
-    transport: &mut TcpTransport,
-    peer: u8,
-    payload: &[u8],
-    backend: &ServeBackend<'_>,
-    repl: &ReplState,
-    metrics: &Metrics,
-) -> bool {
+/// stream and flip the role.
+fn handle_promote(payload: &[u8], shared: &Shared<'_>) -> Reply {
     if !payload.is_empty() {
-        metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        return transport
-            .send(&error_frame(
-                peer,
-                ErrorCode::BadPayload,
-                "promote carries no payload",
-                None,
-            ))
-            .is_ok();
+        return Err(shared.malformed(ErrorCode::BadPayload, "promote carries no payload"));
     }
-    let Some(engine) = backend.dynamic() else {
-        return transport
-            .send(&error_frame(
-                peer,
-                ErrorCode::ReadOnly,
-                "promotion requires a dynamic (--wal) server",
-                None,
-            ))
-            .is_ok();
-    };
+    let engine = shared.backend.dynamic().ok_or_else(|| {
+        refuse(
+            ErrorCode::ReadOnly,
+            "promotion requires a dynamic (--wal) server",
+        )
+    })?;
+    let repl = shared.repl;
     if repl.role() != ReplRole::Primary {
         repl.request_promote();
         let deadline = Instant::now() + PROMOTE_WAIT;
         while repl.role() != ReplRole::Primary {
             if Instant::now() >= deadline {
-                return transport
-                    .send(&error_frame(
-                        peer,
-                        ErrorCode::Internal,
-                        "promotion did not complete in time",
-                        None,
-                    ))
-                    .is_ok();
+                return Err(refuse(
+                    ErrorCode::Internal,
+                    "promotion did not complete in time",
+                ));
             }
             std::thread::sleep(Duration::from_millis(10));
         }
@@ -1986,19 +1700,18 @@ fn handle_promote(
     let ok = PromoteOk {
         generation: engine.generation(),
     };
-    transport
-        .send(&Frame::with_version(peer, op::PROMOTE_OK, ok.encode()))
-        .is_ok()
+    Ok(Frame::new(op::PROMOTE_OK, ok.encode()))
 }
 
 /// Builds a `STATS_OK` reply from the live counters.
-fn stats_frame(
-    peer: u8,
-    backend: &ServeBackend<'_>,
-    metrics: &Metrics,
-    admission: &Admission,
-    repl: &ReplState,
-) -> Frame {
+fn stats_frame(shared: &Shared<'_>) -> Frame {
+    let Shared {
+        backend,
+        metrics,
+        admission,
+        repl,
+        ..
+    } = shared;
     let pool = backend.pool();
     let cache = backend.cache_stats();
     let stats = StatsOk {
@@ -2023,38 +1736,30 @@ fn stats_frame(
         enumerations_total: metrics.enumerations_total.load(Ordering::Relaxed),
         pages_sent: metrics.pages_sent.load(Ordering::Relaxed),
     };
-    Frame::with_version(peer, op::STATS_OK, stats.encode_for(peer))
+    Frame::new(op::STATS_OK, stats.encode())
 }
 
 /// Builds a `HEALTH_OK` reply: drain beats overload, overload beats
-/// ready, and any not-ready state carries a retry-after hint. The v2
-/// payload extension adds the replication role and lag.
-fn health_frame(
-    peer: u8,
-    backend: &ServeBackend<'_>,
-    metrics: &Metrics,
-    admission: &Admission,
-    draining: &AtomicBool,
-    repl: &ReplState,
-) -> Frame {
-    let state = if draining.load(Ordering::Acquire) {
+/// ready, and any not-ready state carries a retry-after hint.
+fn health_frame(shared: &Shared<'_>) -> Frame {
+    let state = if shared.draining.load(Ordering::Acquire) {
         HealthState::Draining
-    } else if admission.is_full() {
+    } else if shared.admission.is_full() {
         HealthState::Overloaded
     } else {
         HealthState::Ready
     };
     let retry_after_ms = match state {
         HealthState::Ready => 0,
-        _ => retry_after_hint_ms(metrics),
+        _ => retry_after_hint_ms(shared.metrics),
     };
     let health = HealthOk {
         state,
         retry_after_ms,
-        role: repl.role(),
-        replication_lag: repl.replication_lag(backend.generation()),
+        role: shared.repl.role(),
+        replication_lag: shared.repl.replication_lag(shared.backend.generation()),
     };
-    Frame::with_version(peer, op::HEALTH_OK, health.encode_for(peer))
+    Frame::new(op::HEALTH_OK, health.encode())
 }
 
 #[cfg(test)]
@@ -2201,24 +1906,24 @@ mod tests {
         // IDs and deadlines don't change the answer, so they are not
         // part of the fingerprint.
         assert_eq!(
-            request_fingerprint(&base),
-            request_fingerprint(&same_but_other_id)
+            request_fingerprint(&base, 0),
+            request_fingerprint(&same_but_other_id, 0)
         );
         let different_flags = CountRequest {
             no_iep: true,
             ..base.clone()
         };
         assert_ne!(
-            request_fingerprint(&base),
-            request_fingerprint(&different_flags)
+            request_fingerprint(&base, 0),
+            request_fingerprint(&different_flags, 0)
         );
         let different_pattern = CountRequest {
             pattern: vec![3, 0b110, 0b101, 0b111],
             ..base.clone()
         };
         assert_ne!(
-            request_fingerprint(&base),
-            request_fingerprint(&different_pattern)
+            request_fingerprint(&base, 0),
+            request_fingerprint(&different_pattern, 0)
         );
         // The execution mode (and a sample mode's parameters) change the
         // answer, so they separate fingerprints too.
@@ -2226,7 +1931,10 @@ mod tests {
             mode: QueryMode::Orbit,
             ..base.clone()
         };
-        assert_ne!(request_fingerprint(&base), request_fingerprint(&orbit));
+        assert_ne!(
+            request_fingerprint(&base, 0),
+            request_fingerprint(&orbit, 0)
+        );
         let sample_a = CountRequest {
             mode: QueryMode::sample(1, 0.5),
             ..base.clone()
@@ -2236,8 +1944,13 @@ mod tests {
             ..base
         };
         assert_ne!(
-            request_fingerprint(&sample_a),
-            request_fingerprint(&sample_b)
+            request_fingerprint(&sample_a, 0),
+            request_fingerprint(&sample_b, 0)
+        );
+        // A commit in between makes the same request a different query.
+        assert_ne!(
+            request_fingerprint(&sample_a, 3),
+            request_fingerprint(&sample_a, 4)
         );
     }
 }

@@ -6,8 +6,10 @@
 //! a torn read (a query seeing half of a batch) or a stale plan served
 //! across generations would both show up as a mismatch.
 
+use graphpi_core::config::ServeOptions;
 use graphpi_core::engine::{CountOptions, GraphPi, PlanCache, PlanOptions};
 use graphpi_core::exec::pool::WorkerPool;
+use graphpi_core::net::{Client, RetryPolicy, RetryingClient, Server, ServerHandle};
 use graphpi_core::DynamicEngine;
 use graphpi_graph::{generators, EdgeBatch};
 use graphpi_pattern::prefab;
@@ -178,4 +180,56 @@ fn pinned_generation_outlives_later_commits() {
     assert_eq!(pin.engine().count(&pattern).unwrap(), before);
     assert_eq!(pin.generation(), 0);
     assert_eq!(engine.generation(), 5);
+}
+
+/// Sets the drain flag when dropped so a failed assertion unwinds instead
+/// of deadlocking on the accept loop.
+struct DrainOnDrop(ServerHandle);
+
+impl Drop for DrainOnDrop {
+    fn drop(&mut self) {
+        self.0.shutdown();
+    }
+}
+
+#[test]
+fn reused_request_ids_never_replay_counts_across_commits() {
+    let engine = DynamicEngine::volatile(generators::power_law(200, 4, 7));
+    let server = Server::bind("127.0.0.1:0", ServeOptions::default()).unwrap();
+    let handle = server.handle().unwrap();
+    let addr = handle.addr();
+    let triangle = prefab::triangle();
+    std::thread::scope(|scope| {
+        let _drain = DrainOnDrop(handle.clone());
+        let serving = scope.spawn(|| server.serve_dynamic(&engine).unwrap());
+
+        // Two clients with the same seed draw the same request IDs, as
+        // the clients of two separate CLI invocations do.
+        let same_seed = || RetryingClient::connect_tcp(addr, RetryPolicy::default());
+        let before = same_seed().count(&triangle).unwrap().count;
+
+        // Two new triangles commit between the runs.
+        let mut writer = Client::connect(addr).unwrap();
+        let triangles = [
+            (190, 191),
+            (191, 192),
+            (190, 192),
+            (195, 196),
+            (196, 197),
+            (195, 197),
+        ];
+        writer.update(&triangles, &[]).unwrap();
+        let after = writer.count(&triangle).unwrap().count;
+        assert!(after > before, "the inserts must add triangles");
+
+        // The second run reuses the first run's ID after the commit: it
+        // must see the new graph, not a replay of the old count.
+        let again = same_seed().count(&triangle).unwrap().count;
+        assert_eq!(again, after, "stale count replayed from before the commit");
+        assert_eq!(again, engine.pin().engine().count(&triangle).unwrap());
+
+        drop(writer);
+        handle.shutdown();
+        serving.join().unwrap();
+    });
 }

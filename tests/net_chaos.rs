@@ -2,22 +2,18 @@
 //! injector must still observe counts bit-identical to in-process
 //! execution (retries + request-ID idempotency doing their job), an
 //! overloaded server must shed with a typed `RETRY_LATER` (plus a usable
-//! retry-after hint) instead of dropping connections, the `HEALTH` opcode
-//! must report readiness, and a protocol-v1 client must stay served by a
-//! v2 server with v1-shaped replies.
+//! retry-after hint) instead of dropping connections, and the `HEALTH`
+//! opcode must report readiness.
 
 use graphpi::core::config::ServeOptions;
 use graphpi::core::engine::{GraphPi, PlanCache};
 use graphpi::core::exec::pool::WorkerPool;
-use graphpi::core::net::protocol::{self, op, CountOk, CountRequest, Frame, QueryMode, StatsOk};
 use graphpi::core::net::{
     ChaosConfig, ChaosConnector, Client, ErrorCode, HealthState, NetError, RemoteCountOptions,
     RetryPolicy, RetryingClient, Server, ServerHandle, Transport,
 };
 use graphpi::graph::generators;
 use graphpi::pattern::prefab;
-use std::io::Write;
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -269,59 +265,6 @@ fn health_reports_ready_on_an_idle_server() {
         assert_eq!(health.state, HealthState::Ready);
         assert_eq!(health.retry_after_ms, 0, "ready needs no backoff hint");
         drop(client);
-        handle.shutdown();
-        serving.join().unwrap();
-    });
-}
-
-#[test]
-fn protocol_v1_clients_are_served_with_v1_replies() {
-    let engine = GraphPi::new(generators::power_law(160, 5, 91));
-    let baseline = {
-        let session = engine.session();
-        session.count(&prefab::triangle()).unwrap()
-    };
-    let server = Server::bind("127.0.0.1:0", ServeOptions::default()).unwrap();
-    let handle = server.handle().unwrap();
-    let addr = handle.addr();
-    std::thread::scope(|scope| {
-        let _drain = DrainOnDrop(handle.clone());
-        let serving = scope.spawn(|| server.serve(&engine).unwrap());
-
-        // Hand-rolled v1 session: a COUNT (no request-ID flag — v1 never
-        // sets it) and a STATS, each answered with the request's version
-        // byte echoed back.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let request = CountRequest {
-            no_iep: false,
-            hub_bitsets: false,
-            deadline_ms: 0,
-            request_id: 0,
-            min_generation: 0,
-            mode: QueryMode::Count,
-            pattern: prefab::triangle().canonical_bytes(),
-        };
-        stream
-            .write_all(&Frame::with_version(1, op::COUNT, request.encode()).encode())
-            .unwrap();
-        let reply = protocol::read_frame(&mut stream).unwrap();
-        assert_eq!(reply.version, 1, "replies must echo the peer's version");
-        assert_eq!(reply.opcode, op::COUNT_OK);
-        assert_eq!(CountOk::decode(&reply.payload).unwrap().count, baseline);
-
-        stream
-            .write_all(&Frame::with_version(1, op::STATS, vec![]).encode())
-            .unwrap();
-        let reply = protocol::read_frame(&mut stream).unwrap();
-        assert_eq!(reply.version, 1);
-        assert_eq!(reply.opcode, op::STATS_OK);
-        let stats = StatsOk::decode(&reply.payload).unwrap();
-        assert_eq!(stats.queries_total, 1);
-
-        drop(stream);
         handle.shutdown();
         serving.join().unwrap();
     });

@@ -113,13 +113,12 @@ proptest! {
             pages_sent: words[10],
             latency,
         };
-        // The v2 encoding round-trips every field; the v1 encoding drops
-        // the replication extension, which decodes back to the defaults.
-        prop_assert_eq!(StatsOk::decode(&stats.encode_for(2)).unwrap(), stats.clone());
-        let v1 = StatsOk::decode(&stats.encode()).unwrap();
-        prop_assert_eq!(v1.replication_lag, 0);
-        prop_assert_eq!(v1.repl_role, graphpi::core::net::ReplRole::Primary);
-        prop_assert_eq!(v1.queries_total, stats.queries_total);
+        // The one layout round-trips every field; the retired shorter
+        // layouts (no extensions, replication extension only) are refused.
+        let encoded = stats.encode();
+        prop_assert_eq!(StatsOk::decode(&encoded).unwrap(), stats.clone());
+        prop_assert!(StatsOk::decode(&encoded[..encoded.len() - 32]).is_none());
+        prop_assert!(StatsOk::decode(&encoded[..encoded.len() - 16]).is_none());
         // Aggregations over a decoded histogram must saturate, not panic,
         // even with every bucket at u64::MAX.
         let _ = stats.latency.total();
@@ -369,13 +368,15 @@ fn fault_battery_leaves_the_server_standing() {
         bad_magic[4] = b'X';
         assert_eq!(reply_after(addr, &bad_magic), Some(ErrorCode::BadFrame));
 
-        // Case 5: wrong version.
-        let mut bad_version = Frame::new(op::PING, vec![]).encode();
-        bad_version[6] = 99;
-        assert_eq!(
-            reply_after(addr, &bad_version),
-            Some(ErrorCode::UnsupportedVersion)
-        );
+        // Case 5: wrong version, including the retired version 1.
+        for version in [99, 1] {
+            let mut bad_version = Frame::new(op::PING, vec![]).encode();
+            bad_version[6] = version;
+            assert_eq!(
+                reply_after(addr, &bad_version),
+                Some(ErrorCode::UnsupportedVersion)
+            );
+        }
 
         // Case 6: mid-frame disconnect — a length prefix promising 100
         // bytes, 10 delivered, then the socket vanishes.

@@ -438,3 +438,20 @@ fn promotion_seals_the_stream_and_continues_the_generations() {
     });
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn health_all_gives_up_on_a_silent_endpoint() {
+    // Bound but never accepting: the kernel completes the connect from
+    // its backlog, and no reply ever comes.
+    let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = silent.local_addr().unwrap();
+    let client = FailoverClient::connect(vec![addr], retry_policy(), false);
+    let (done, report) = std::sync::mpsc::channel();
+    // A hung probe must fail this test, not hang the suite.
+    std::thread::spawn(move || done.send(client.health_all()).ok());
+    let health = report
+        .recv_timeout(Duration::from_secs(2))
+        .expect("health_all still blocked after 2 s on a silent endpoint");
+    assert_eq!(health, vec![(addr, None)]);
+    drop(silent);
+}
